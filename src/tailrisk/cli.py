@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,27 +32,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class ProblemFile:
-    """Parsed optimization problem definition."""
-    expected_returns: np.ndarray
-    covariance: np.ndarray
-    distribution: str
-    nu: float | None
-    measure: str
-    tail_levels: list[float]
+def parse_problem_file(path: str) -> portfolio.PortfolioProblem:
+    """Parse the header-tagged format into a validated problem.
 
-    def spec(self) -> RiskSpec:
-        return RiskSpec(self.distribution, self.measure, self.nu)
-
-    def problem(self, u: float | None = None) -> portfolio.PortfolioProblem:
-        return portfolio.PortfolioProblem(
-            self.expected_returns, self.covariance, self.spec(),
-            self.tail_levels[0] if u is None else u)
-
-
-def parse_problem_file(path: str) -> ProblemFile:
-    """Parse the header-tagged problem format; errors carry line numbers."""
+    Parse errors carry line numbers.
+    """
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     try:
@@ -86,6 +70,13 @@ def parse_problem_file(path: str) -> ProblemFile:
             return [float(tok) for tok in line.replace(",", " ").split()]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed number in {field}") from None
+
+    def number(lineno, line, field):
+        values = numbers(lineno, line, field)
+        if len(values) != 1:
+            raise ValueError(f"{path}:{lineno}: {field} takes exactly one number, "
+                             f"got {len(values)}")
+        return values[0]
 
     ret_rows = sections["returns"]
     if len(ret_rows) != 1:
@@ -121,19 +112,16 @@ def parse_problem_file(path: str) -> ProblemFile:
     nu = None
     if "nu" in kv:
         lineno, text = kv.pop("nu")
-        nu = numbers(lineno, text, "nu")[0]
+        nu = number(lineno, text, "nu")
     _, measure = take("measure")
     measure = measure.lower()
     if measure not in (VAR, CVAR):
         raise ValueError(f"{path}: measure must be 'var' or 'cvar', got {measure!r}")
-    lineno, text = take("u")
-    tail_levels = numbers(lineno, text, "u")
+    u = number(*take("u"), "u")
     if kv:
         raise ValueError(f"{path}: unknown spec key(s) {sorted(kv)}")
 
-    pf = ProblemFile(mu, cov, dist, nu, measure, tail_levels)
-    pf.problem()  # validate eagerly so malformed files fail at parse time
-    return pf
+    return portfolio.PortfolioProblem(mu, cov, RiskSpec(dist, measure, nu), u)
 
 
 def _parse_nu_token(token: str) -> float | None:
@@ -223,13 +211,14 @@ def cmd_losscurves(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    pf = parse_problem_file(args.problem_file)
-    problem = pf.problem(args.u)
+    problem = parse_problem_file(args.problem_file)
+    if args.u is not None:
+        problem = replace(problem, u=args.u)
     result = portfolio.optimize(problem)
     report = {"problem_file": args.problem_file,
-              "distribution": pf.distribution,
-              "nu": pf.nu,
-              "measure": pf.measure,
+              "distribution": problem.spec.distribution,
+              "nu": problem.spec.nu,
+              "measure": problem.spec.measure,
               "u": problem.u,
               "psi": problem.psi(),
               **result.as_dict()}
@@ -239,20 +228,19 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    pf = parse_problem_file(args.problem_file)
+    problem = parse_problem_file(args.problem_file)
     grid = _x_grid(args.x_from, args.x_to, args.x_step)
-    n = pf.expected_returns.size
+    n = problem.n_assets
     header = ["model", "x", "u", "psi", "expected_return", "variance"] \
         + [f"w{i + 1}" for i in range(n)]
     rows = []
     status = 0
-    models = [("problem", pf.spec()), ("gaussian-var", RiskSpec(GAUSSIAN, VAR))]
-    for label, spec in models:
-        base = portfolio.PortfolioProblem(pf.expected_returns, pf.covariance,
-                                          spec, pf.tail_levels[0])
-        for x, res in zip(grid, portfolio.frontier(base, grid)):
+    models = [("problem", problem),
+              ("gaussian-var", replace(problem, spec=RiskSpec(GAUSSIAN, VAR)))]
+    for label, model in models:
+        for x, res in zip(grid, portfolio.frontier(model, grid)):
             u = 10.0 ** -x
-            rows.append([label, float(x), u, psi(spec, u),
+            rows.append([label, float(x), u, psi(model.spec, u),
                          res.expected_return, res.variance,
                          *[float(w) for w in res.weights]])
             if not res.converged:
@@ -262,20 +250,18 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pf = parse_problem_file(args.problem_file)
+    problem = parse_problem_file(args.problem_file)
     if args.samples < 10_000:
         raise ValueError(f"verify needs at least 1e4 samples, got {args.samples}")
-    problem = pf.problem()
-    u = problem.u
-    spec = pf.spec()
+    u, spec = problem.u, problem.spec
     checks = []
 
     # empirical psi bracket on unit-variance draws from the model distribution
-    if pf.distribution == GAUSSIAN:
+    if spec.distribution == GAUSSIAN:
         draws = np.random.default_rng(args.seed).standard_normal(args.samples)
     else:
-        draws = mc_oracle.sample_t(pf.nu, args.samples, args.seed) \
-            * math.sqrt((pf.nu - 2.0) / pf.nu)
+        draws = mc_oracle.sample_t(spec.nu, args.samples, args.seed) \
+            * math.sqrt((spec.nu - 2.0) / spec.nu)
     est = mc_oracle.empirical_tail(draws, u)
     for name, analytic, observed in (
             ("psi_var_bracket", psi(spec.with_measure(VAR), u), est.var_hat),

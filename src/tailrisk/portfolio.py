@@ -34,23 +34,20 @@ _ACTIVE_TOL = 1e-8  # weights below this count as at the boundary for KKT
 def _cholesky_or_raise(cov: np.ndarray) -> None:
     """Reject non-positive-definite covariance with a diagnostic.
 
-    Manual Cholesky so the failing pivot can be reported; pivots below
-    1e-12 * max diagonal count as failure.
+    Pivots diag(L)**2 below 1e-12 * max diagonal count as failure, as does
+    a matrix LAPACK cannot factor.  LAPACK alone would accept tiny positive
+    pivots and NaN, hence the explicit floor.
     """
-    n = cov.shape[0]
     floor = 1e-12 * float(np.max(np.diag(cov)))
-    L = np.zeros_like(cov)
-    for i in range(n):
-        for j in range(i + 1):
-            s = cov[i, j] - L[i, :j] @ L[j, :j]
-            if i == j:
-                if s < floor:
-                    raise ValueError(
-                        f"covariance is not positive definite "
-                        f"(pivot {s:.3e} at index {i})")
-                L[i, i] = math.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
+    try:
+        pivots = np.diag(np.linalg.cholesky(cov)) ** 2
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance is not positive definite") from None
+    bad = np.flatnonzero(~(pivots >= floor))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"covariance is not positive definite "
+                         f"(pivot {pivots[i]:.3e} at index {i})")
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,8 @@ class PortfolioProblem:
         if cov.shape != (mu.size, mu.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match {mu.size} assets")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
+            raise ValueError("expected returns and covariance must be finite")
         scale = max(float(np.max(np.abs(cov))), 1e-300)
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
             raise ValueError("covariance must be symmetric")
@@ -222,17 +221,15 @@ def default_x_grid() -> list[float]:
 
 
 def frontier(p: PortfolioProblem, x_grid=None) -> list[OptimizationResult]:
-    """One optimization per tail level u = 10^-x along the grid."""
+    """One optimization per tail level u = 10^-x along the grid.
+
+    Only psi changes along the grid, so every point reuses p's validated
+    mu and C.
+    """
     if x_grid is None:
         x_grid = default_x_grid()
-    for x in x_grid:
-        if 10.0 ** -x >= 0.5:
-            raise ValueError(f"x={x} maps to u >= 1/2")
-    results = []
-    for x in x_grid:
-        point = PortfolioProblem(p.mu, p.cov, p.spec, 10.0 ** -x)
-        results.append(optimize(point))
-    return results
+    psis = [_risk.psi(p.spec, 10.0 ** -x) for x in x_grid]
+    return [_minimize(p.mu, p.cov, psi_val, SolverOptions()) for psi_val in psis]
 
 
 def min_variance_weights(cov: np.ndarray,

@@ -51,6 +51,9 @@ class RiskSpec:
             if not (self.nu > 2.0):
                 raise ValueError(
                     f"student-t risk requires nu > 2 for a finite variance, got {self.nu}")
+            if not math.isfinite(self.nu):
+                raise ValueError(f"student-t risk requires a finite nu, got {self.nu}; "
+                                 f"the limit is distribution {GAUSSIAN!r}")
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for student-t")
 

@@ -14,7 +14,6 @@ import math
 
 from .special import (
     check_probability,
-    gauss_pdf,  # noqa: F401  (re-exported convenience)
     inv_reg_inc_beta,
     log_gamma,
     reg_inc_beta,

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -98,11 +99,11 @@ class TestLossCurves:
 class TestProblemFileParsing:
     def test_valid_file(self):
         pf = cli.parse_problem_file(T3_FILE)
-        assert pf.distribution == "student-t"
-        assert pf.nu == 3.0
-        assert pf.measure == "cvar"
-        assert pf.tail_levels == [0.025]
-        assert pf.covariance.shape == (3, 3)
+        assert pf.spec.distribution == "student-t"
+        assert pf.spec.nu == 3.0
+        assert pf.spec.measure == "cvar"
+        assert pf.u == 0.025
+        assert pf.cov.shape == (3, 3)
 
     def write(self, tmp_path, text):
         path = tmp_path / "problem.txt"
@@ -153,6 +154,34 @@ class TestProblemFileParsing:
                                     "measure = var\nu = 0.6\n")
         with pytest.raises(ValueError):
             cli.parse_problem_file(path)
+
+    @pytest.mark.parametrize("key, value, line", [("u", "0.01 0.6", 9),
+                                                  ("u", "", 9),
+                                                  ("nu", "3 4", 7)])
+    def test_spec_key_takes_one_number(self, tmp_path, key, value, line):
+        spec = {"distribution": "student-t", "nu": "3", "measure": "var", "u": "0.01"}
+        spec[key] = value
+        path = self.write(tmp_path, "[returns]\n0.1\n[covariance]\n1\n[spec]\n"
+                          + "".join(f"{k} = {v}\n" for k, v in spec.items()))
+        expected = re.escape(f"{path}:{line}: {key} takes exactly one number")
+        with pytest.raises(ValueError, match=expected):
+            cli.parse_problem_file(path)
+
+    @pytest.mark.parametrize("returns, covariance, spec", [
+        ("0.1 nan", "1 0\n0 1", "distribution = gaussian\nu = 0.01"),
+        ("0.1 0.2", "1 nan\nnan 1", "distribution = gaussian\nu = 0.01"),
+        ("0.1 0.2", "1 0\n0 inf", "distribution = gaussian\nu = 0.01"),
+        ("0.1 0.2", "1 0\n0 1", "distribution = student-t\nnu = inf\nu = 0.01"),
+        ("0.1 0.2", "1 0\n0 1", "distribution = gaussian\nu = 0.01 0.6"),
+    ])
+    def test_bad_values_exit_2(self, capsys, tmp_path, returns, covariance, spec):
+        path = self.write(tmp_path, f"[returns]\n{returns}\n[covariance]\n{covariance}\n"
+                                    f"[spec]\n{spec}\nmeasure = var\n")
+        for command in ("optimize", "frontier", "verify"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestOptimize:

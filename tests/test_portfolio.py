@@ -48,9 +48,23 @@ class TestProblemValidation:
             PortfolioProblem(np.zeros(2), cov, GV, 0.025)
 
     def test_non_pd_cov_rejected(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="positive definite"):
+        # singular, then a pivot of 2e-14 that LAPACK accepts but the
+        # 1e-12 * max-diagonal floor rejects
+        for off in (1.0, 1.0 - 1e-14):
+            cov = np.array([[1.0, off], [off, 1.0]])
+            with pytest.raises(ValueError, match="positive definite"):
+                PortfolioProblem(np.zeros(2), cov, GV, 0.025)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PortfolioProblem([0.1, bad], np.eye(2), GV, 0.025)
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
             PortfolioProblem(np.zeros(2), cov, GV, 0.025)
+        with pytest.raises(ValueError, match="finite"):
+            PortfolioProblem(np.zeros(2), np.diag([1.0, bad]), GV, 0.025)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -195,6 +209,14 @@ class TestFrontier:
         assert len(results) == 9
         for res in results:
             assert res.weights == pytest.approx([1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [GV, RiskSpec(STUDENT_T, CVAR, 3.0)])
+    def test_points_equal_single_problems(self, spec):
+        p = PortfolioProblem(THREE_ASSET_MU, three_asset_cov(), spec, 0.025)
+        grid = [1.0, 2.5, 4.0, 6.0]
+        for x, res in zip(grid, frontier(p, grid), strict=True):
+            single = optimize(PortfolioProblem(p.mu, p.cov, spec, 10.0 ** -x))
+            assert np.array_equal(res.weights, single.weights)
 
     def test_invalid_x_rejected(self, gauss_var_problem):
         with pytest.raises(ValueError):

@@ -38,6 +38,12 @@ class TestRiskSpec:
         with pytest.raises(ValueError):
             RiskSpec("lognormal", VAR)
 
+    def test_nu_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite nu"):
+            RiskSpec(STUDENT_T, CVAR, math.inf)
+        with pytest.raises(ValueError):
+            RiskSpec(STUDENT_T, VAR, math.nan)
+
 
 class TestPsi:
     def test_reference_values(self):
