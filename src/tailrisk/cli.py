@@ -220,7 +220,7 @@ def cmd_optimize(args) -> int:
               "nu": problem.spec.nu,
               "measure": problem.spec.measure,
               "u": problem.u,
-              "psi": problem.psi(),
+              "psi": result.psi,
               **result.as_dict()}
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -240,7 +240,7 @@ def cmd_frontier(args) -> int:
     for label, model in models:
         for x, res in zip(grid, portfolio.frontier(model, grid)):
             u = 10.0 ** -x
-            rows.append([label, float(x), u, psi(model.spec, u),
+            rows.append([label, float(x), u, res.psi,
                          res.expected_return, res.variance,
                          *[float(w) for w in res.weights]])
             if not res.converged:

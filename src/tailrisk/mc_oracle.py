@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .portfolio import (
-    OptimizationResult,
-    PortfolioProblem,
-    SolverOptions,
-    _gradient,
-    _kkt_residual,
-    optimize,
-)
+from .portfolio import OptimizationResult, PortfolioProblem, SolverOptions, optimize
 from .special import check_probability
 from .tquantile import check_dof
 
@@ -32,6 +25,7 @@ __all__ = [
 ]
 
 _MIN_TAIL_POINTS = 100
+_ACTIVE_TOL = 1e-8  # weights below this count as at the boundary for KKT
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,22 @@ def uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _kkt_residual(mu, cov, psi_val: float, w: np.ndarray) -> float:
+    """Largest violation of the simplex KKT conditions at weights w.
+
+    Computed here rather than taken from the solver, so the oracle's
+    numbers do not rest on the code they check.
+    """
+    cw = cov @ w
+    grad = -mu + psi_val * cw / math.sqrt(float(w @ cw))
+    lam = float(grad @ w)  # weighted average multiplier (sum w = 1)
+    active = w > _ACTIVE_TOL
+    res = float(np.max(np.abs(grad[active] - lam)))
+    if not active.all():
+        res = max(res, float(np.max(lam - grad[~active])))
+    return res
+
+
 def random_portfolio_search(p: PortfolioProblem, n: int, seed: int,
                             polish: bool = False) -> OptimizationResult:
     """Best of n uniform random simplex portfolios under the risk objective.
@@ -144,13 +154,13 @@ def random_portfolio_search(p: PortfolioProblem, n: int, seed: int,
             best_w = W[i]
     if polish:
         return optimize(p, SolverOptions(), w0=best_w)
-    grad = _gradient(p.mu, p.cov, psi_val, best_w)
     return OptimizationResult(
         weights=best_w,
+        psi=psi_val,
         risk=best_f,
         expected_return=float(p.mu @ best_w),
         variance=float(best_w @ p.cov @ best_w),
         iterations=n,
         converged=True,
-        kkt_residual=_kkt_residual(grad, best_w),
+        kkt_residual=_kkt_residual(p.mu, p.cov, psi_val, best_w),
     )

@@ -1,9 +1,15 @@
 """Mean-standard-deviation portfolio optimization over the long-only simplex.
 
 The objective is  -mu.w + psi(u) * sqrt(w' C w), which is convex (linear
-plus a scaled norm), so a projected-gradient method with an exact
-Euclidean simplex projection and Armijo backtracking converges to the
-global optimum and supports a KKT certificate.
+plus a scaled norm).  Projected gradient with an exact Euclidean simplex
+projection and Armijo backtracking finds which assets are held.  Once the
+held set S stays the same for two iterations, the optimum over S with
+weights summing to one has a closed form (the two-fund theorem: the
+tangency point of S's mean-sigma hyperbola), which one Cholesky solve
+gives.  If it is long-only the solver jumps there; otherwise it steps
+toward it as far as the simplex allows.  A jump that leaves a positive
+projected gradient hands back to projected gradient, so the result
+carries a KKT certificate either way.
 """
 
 import math
@@ -31,13 +37,26 @@ __all__ = [
 _ACTIVE_TOL = 1e-8  # weights below this count as at the boundary for KKT
 
 
-def _cholesky_or_raise(cov: np.ndarray) -> None:
-    """Reject non-positive-definite covariance with a diagnostic.
+def _checked_cov(cov, n: int | None = None) -> np.ndarray:
+    """cov as a float array; ValueError unless it is a finite, symmetric,
+    positive-definite n x n matrix (any n >= 1 when n is None).
 
-    Pivots diag(L)**2 below 1e-12 * max diagonal count as failure, as does
-    a matrix LAPACK cannot factor.  LAPACK alone would accept tiny positive
-    pivots and NaN, hence the explicit floor.
+    Cholesky pivots diag(L)**2 below 1e-12 * max diagonal count as failure,
+    as does a matrix LAPACK cannot factor.  LAPACK alone would accept tiny
+    positive pivots and NaN, hence the explicit floor.
     """
+    cov = np.asarray(cov, dtype=float)
+    if n is None:
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+            raise ValueError(
+                f"covariance must be a non-empty square matrix, got shape {cov.shape}")
+    elif cov.shape != (n, n):
+        raise ValueError(f"covariance shape {cov.shape} does not match {n} assets")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance must be finite")
+    scale = max(float(np.max(np.abs(cov))), 1e-300)
+    if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
+        raise ValueError("covariance must be symmetric")
     floor = 1e-12 * float(np.max(np.diag(cov)))
     try:
         pivots = np.diag(np.linalg.cholesky(cov)) ** 2
@@ -48,6 +67,7 @@ def _cholesky_or_raise(cov: np.ndarray) -> None:
         i = int(bad[0])
         raise ValueError(f"covariance is not positive definite "
                          f"(pivot {pivots[i]:.3e} at index {i})")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -60,20 +80,12 @@ class PortfolioProblem:
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "cov", cov)
         if mu.ndim != 1 or mu.size < 1:
             raise ValueError("expected returns must be a non-empty vector")
-        if cov.shape != (mu.size, mu.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match {mu.size} assets")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
-            raise ValueError("expected returns and covariance must be finite")
-        scale = max(float(np.max(np.abs(cov))), 1e-300)
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
-            raise ValueError("covariance must be symmetric")
-        _cholesky_or_raise(cov)
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("expected returns must be finite")
+        object.__setattr__(self, "cov", _checked_cov(self.cov, mu.size))
         check_probability(self.u)
         if self.u >= 0.5:
             raise ValueError(f"loss-tail level must satisfy u < 1/2, got {self.u}")
@@ -99,6 +111,7 @@ class SolverOptions:
 @dataclass
 class OptimizationResult:
     weights: np.ndarray
+    psi: float                 # the loss multiplier the objective used
     risk: float
     expected_return: float
     variance: float
@@ -167,6 +180,43 @@ def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
     return res
 
 
+def _face_optimum(mu, cov, psi_val, held):
+    """Minimizer of the objective over {w : sum w = 1, w = 0 off held}, with
+    no sign constraint, or None if psi is too small for one to exist.
+
+    With a = C_S^-1 1 and b = C_S^-1 mu_S on the held assets S, it is
+    (b + lam a) / sqrt(disc), the tangency point of S's mean-sigma
+    hyperbola (Merton 1972).
+    """
+    L = np.linalg.cholesky(cov[np.ix_(held, held)])
+    rhs = np.column_stack((np.ones(L.shape[0]), mu[held]))
+    a, b = np.linalg.solve(L.T, np.linalg.solve(L, rhs)).T
+    A, B = float(a.sum()), float(b.sum())
+    disc = B * B - A * float(mu[held] @ b) + A * psi_val * psi_val
+    if not disc > 0.0:
+        return None
+    root = math.sqrt(disc)
+    w = np.zeros(mu.size)
+    w[held] = (b + (root - B) / A * a) / root
+    return w
+
+
+def _face_step(mu, cov, psi_val, w, held):
+    """w moved toward the face optimum of its held assets, as far as the
+    simplex allows (all the way if the optimum is long-only)."""
+    target = _face_optimum(mu, cov, psi_val, held)
+    if target is None:
+        return None
+    short = np.flatnonzero(target < 0.0)
+    if short.size == 0:
+        return target
+    ratios = w[short] / (w[short] - target[short])
+    j = int(np.argmin(ratios))
+    wn = np.maximum(w + ratios[j] * (target - w), 0.0)
+    wn[short[j]] = 0.0
+    return wn
+
+
 def _minimize(mu, cov, psi_val, opts: SolverOptions,
               w0: np.ndarray | None = None) -> OptimizationResult:
     n = mu.size
@@ -176,6 +226,7 @@ def _minimize(mu, cov, psi_val, opts: SolverOptions,
     t = opts.initial_step
     converged = False
     iters = 0
+    held, tried = None, set()
     for iters in range(1, opts.max_iter + 1):
         while True:
             wn = project_simplex(w - t * gw)
@@ -192,9 +243,22 @@ def _minimize(mu, cov, psi_val, opts: SolverOptions,
         if pg_norm <= opts.grad_tol or step_norm <= opts.step_tol:
             converged = True
             break
+        # the same held assets after two iterations: try that face's optimum
+        prev, held = held, w > 0.0
+        if prev is not None and np.array_equal(prev, held) \
+                and (key := held.tobytes()) not in tried:
+            tried.add(key)
+            wf = _face_step(mu, cov, psi_val, w, held)
+            if wf is not None and (ff := _objective(mu, cov, psi_val, wf)) <= fw:
+                w, fw = wf, ff
+                gw = _gradient(mu, cov, psi_val, w)
+                if np.linalg.norm(w - project_simplex(w - gw)) <= opts.grad_tol:
+                    converged = True
+                    break
         t *= opts.step_growth
     return OptimizationResult(
         weights=w,
+        psi=psi_val,
         risk=fw,
         expected_return=float(mu @ w),
         variance=float(w @ cov @ w),
@@ -224,7 +288,7 @@ def frontier(p: PortfolioProblem, x_grid=None) -> list[OptimizationResult]:
     """One optimization per tail level u = 10^-x along the grid.
 
     Only psi changes along the grid, so every point reuses p's validated
-    mu and C.
+    mu and C; each result carries the psi it was solved at.
     """
     if x_grid is None:
         x_grid = default_x_grid()
@@ -235,7 +299,6 @@ def frontier(p: PortfolioProblem, x_grid=None) -> list[OptimizationResult]:
 def min_variance_weights(cov: np.ndarray,
                          opts: SolverOptions | None = None) -> np.ndarray:
     """Simplex portfolio minimizing w' C w (the psi -> infinity limit)."""
-    cov = np.asarray(cov, dtype=float)
-    _cholesky_or_raise(cov)
+    cov = _checked_cov(cov)
     mu = np.zeros(cov.shape[0])
     return _minimize(mu, cov, 1.0, opts or SolverOptions()).weights

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from conftest import THREE_ASSET_MU, three_asset_cov
+from tailrisk import portfolio
 from tailrisk.portfolio import (
     OptimizationResult,
     PortfolioProblem,
@@ -15,9 +16,37 @@ from tailrisk.portfolio import (
     risk_gradient,
     risk_objective,
 )
-from tailrisk.risk import CVAR, GAUSSIAN, STUDENT_T, VAR, RiskSpec
+from tailrisk.risk import CVAR, GAUSSIAN, STUDENT_T, VAR, RiskSpec, psi
 
 GV = RiskSpec(GAUSSIAN, VAR)
+T5_CVAR = RiskSpec(STUDENT_T, CVAR, 5.0)
+
+
+def factor_problem(seed, n, cond, spec, u=1e-3):
+    """Seeded k-factor covariance shifted along the identity to condition
+    `cond`, expected returns drawn uniformly from [0, 0.12] (the kind of
+    problem the optimize_factor benchmark solves)."""
+    rng = np.random.default_rng(seed)
+    k = max(1, round(n / 10))
+    loadings = rng.normal(size=(n, k)) * rng.uniform(0.5, 1.5, size=(1, k))
+    f = loadings @ loadings.T + np.diag(rng.uniform(0.5, 1.5, n))
+    d = np.sqrt(np.diag(f))
+    vol = rng.uniform(0.1, 0.35, n)
+    cov = f / np.outer(d, d) * np.outer(vol, vol)
+    ev = np.linalg.eigvalsh(cov)
+    cov += (ev[-1] - cond * ev[0]) / (cond - 1.0) * np.eye(n)
+    return PortfolioProblem(rng.uniform(0.0, 0.12, n), cov, spec, u)
+
+
+def kkt_residual(p, w):
+    """Largest violation of the simplex KKT conditions, computed here
+    independently of the solver."""
+    cw = p.cov @ w
+    grad = -p.mu + p.psi() * cw / np.sqrt(w @ cw)
+    lam = grad @ w
+    held = w > 1e-8
+    return max(np.max(np.abs(grad[held] - lam)),
+               np.max(lam - grad[~held], initial=0.0))
 
 
 def slsqp_min_variance(cov, min_return=None, mu=None):
@@ -193,9 +222,67 @@ class TestOptimize:
         assert max(risks) - min(risks) <= 1e-8
 
     def test_iteration_cap_reports_nonconvergence(self, t3_cvar_problem):
-        res = optimize(t3_cvar_problem, SolverOptions(max_iter=2))
+        # one iteration: no held set has been seen twice, so no face solve
+        res = optimize(t3_cvar_problem, SolverOptions(max_iter=1))
         assert not res.converged
         assert isinstance(res, OptimizationResult)
+
+    def test_iteration_cap_stops_ill_conditioned_factor_problem(self):
+        p = factor_problem(4, 45, 1e4, T5_CVAR)
+        assert optimize(p).converged
+        res = optimize(p, SolverOptions(max_iter=20))
+        assert res.converged is False
+        assert res.iterations == 20
+
+    @pytest.mark.parametrize("seed, n, cond", [(1, 10, 1e2), (2, 25, 1e3),
+                                               (3, 40, 1e4), (4, 60, 1e3),
+                                               (5, 60, 1e4)])
+    @pytest.mark.parametrize("spec", [GV, T5_CVAR])
+    def test_factor_problems_solved_to_rounding(self, seed, n, cond, spec):
+        p = factor_problem(seed, n, cond, spec)
+        res = optimize(p)
+        assert res.converged
+        assert np.all(res.weights >= 0.0)
+        assert res.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert kkt_residual(p, res.weights) <= 1e-12
+        assert res.kkt_residual <= 1e-12
+
+    def test_face_optimum_with_a_short_weight(self, monkeypatch):
+        # assets 1 and 2 are 0.9 correlated and 2 earns less, so the optimum
+        # on all three assets shorts asset 2: the solver steps toward it
+        # until asset 2 reaches zero, then solves the face of assets 1 and 3
+        targets = []
+
+        def spy(*args):
+            targets.append(face_optimum(*args))
+            return targets[-1]
+
+        face_optimum = portfolio._face_optimum
+        monkeypatch.setattr(portfolio, "_face_optimum", spy)
+        vol = np.array([0.2, 0.2, 0.15])
+        corr = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.1], [0.1, 0.1, 1.0]])
+        p = PortfolioProblem([0.10, 0.02, 0.05], corr * np.outer(vol, vol), GV, 0.01)
+        res = optimize(p)
+        assert targets[0][1] < 0.0
+        assert res.converged
+        assert res.weights[1] == 0.0
+        assert kkt_residual(p, res.weights) <= 1e-12
+        # the ratio step alone, from uniform weights: a feasible descent step
+        w = np.full(3, 1.0 / 3.0)
+        step = portfolio._face_step(p.mu, p.cov, p.psi(), w, w > 0.0)
+        assert step[1] == 0.0 and step[0] > 0.0 and step[2] > 0.0
+        assert step.sum() == pytest.approx(1.0, abs=1e-15)
+        assert risk_objective(p, step) < risk_objective(p, w)
+
+    def test_face_optimum_closed_form(self):
+        # mu = 0, psi = 1: the minimum-variance weights C^-1 1 / 1'C^-1 1
+        cov = three_asset_cov()
+        held = np.ones(3, dtype=bool)
+        w = portfolio._face_optimum(np.zeros(3), cov, 1.0, held)
+        a = np.linalg.solve(cov, np.ones(3))
+        assert w == pytest.approx(a / a.sum(), abs=1e-15)
+        assert portfolio._face_optimum(np.array([0.01]), np.array([[0.04]]), 2.0,
+                                       np.ones(1, dtype=bool)) == pytest.approx([1.0])
 
 
 class TestFrontier:
@@ -217,6 +304,7 @@ class TestFrontier:
         for x, res in zip(grid, frontier(p, grid), strict=True):
             single = optimize(PortfolioProblem(p.mu, p.cov, spec, 10.0 ** -x))
             assert np.array_equal(res.weights, single.weights)
+            assert res.psi == single.psi == psi(spec, 10.0 ** -x)
 
     def test_invalid_x_rejected(self, gauss_var_problem):
         with pytest.raises(ValueError):
@@ -250,7 +338,15 @@ class TestMinVariance:
 
     def test_two_asset_diagonal(self):
         assert min_variance_weights(np.diag([1.0, 4.0])) == \
-            pytest.approx([0.8, 0.2], abs=1e-9)
+            pytest.approx([0.8, 0.2], abs=1e-14)
+
+    @pytest.mark.parametrize("cov", [[[1.0, 5.0], [0.0, 1.0]],
+                                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                     [[1.0, np.nan], [np.nan, 1.0]],
+                                     [1.0, 2.0]])
+    def test_invalid_covariance_rejected(self, cov):
+        with pytest.raises(ValueError):
+            min_variance_weights(cov)
 
     def test_three_asset_vs_oracle(self):
         cov = three_asset_cov()
