@@ -26,6 +26,11 @@ __all__ = [
 
 _MIN_TAIL_POINTS = 100
 _ACTIVE_TOL = 1e-8  # weights below this count as at the boundary for KKT
+# Rows per block in the streaming passes: 2^15 draws of a few assets keep
+# each block's arrays within a core's L2 cache.  numpy's exponential and
+# gamma streams do not depend on how a draw is split into blocks, so the
+# draws are bit-identical to one unblocked draw.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,20 +45,45 @@ class MultivariateTSpec:
         A = np.asarray(self.mixing, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("mixing matrix must be square")
+        if not np.isfinite(A).all():
+            raise ValueError("mixing matrix must be finite")
         object.__setattr__(self, "mixing", A)
-        check_dof(self.nu)
+        _check_finite_dof(self.nu)
         mu = np.zeros(A.shape[0]) if self.mu is None else np.asarray(self.mu, float)
         if mu.shape != (A.shape[0],):
             raise ValueError("location vector does not match mixing dimension")
+        if not np.isfinite(mu).all():
+            raise ValueError("location vector must be finite")
         object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)
 class EmpiricalTailEstimate:
+    """Empirical VaR/CVaR with two standard errors.
+
+    standard_error is the tail sample's std/sqrt(k).  cvar_standard_error
+    adds the variance that comes from estimating VaR (Manistre & Hancock
+    2005): sqrt((s^2 + (1-u)(var_hat - cvar_hat)^2)/k).
+    """
     var_hat: float
     cvar_hat: float
     n_samples: int
     standard_error: float
+    cvar_standard_error: float
+
+
+def _check_finite_dof(nu: float) -> None:
+    if not math.isfinite(check_dof(nu)):
+        raise ValueError(f"degrees of freedom must be finite, got {nu}")
+
+
+def _check_count(n, what: str) -> int:
+    """n as an int; a bool, a float or a count below one is an error."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"number of {what}s must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"need at least one {what}")
+    return int(n)
 
 
 def _chi_squared(rng: np.random.Generator, nu: float, n: int) -> np.ndarray:
@@ -63,14 +93,19 @@ def _chi_squared(rng: np.random.Generator, nu: float, n: int) -> np.ndarray:
 
 
 def sample_t(nu: float, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. standard Student-T draws via the normal/chi-squared mixture."""
-    check_dof(nu)
-    if n < 1:
-        raise ValueError("need at least one sample")
+    """n i.i.d. standard Student-T draws via the normal/chi-squared mixture.
+
+    All normals are drawn first; the chi-squared mixers are then drawn and
+    applied in place one block at a time.
+    """
+    _check_finite_dof(nu)
+    n = _check_count(n, "sample")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
-    g = _chi_squared(rng, nu, n)
-    return z * np.sqrt(nu / g)
+    for start in range(0, n, _BLOCK):
+        block = z[start:start + _BLOCK]
+        block *= np.sqrt(nu / _chi_squared(rng, nu, block.size))
+    return z
 
 
 def sample_mvt(spec: MultivariateTSpec, n: int, seed: int) -> np.ndarray:
@@ -79,8 +114,7 @@ def sample_mvt(spec: MultivariateTSpec, n: int, seed: int) -> np.ndarray:
     Each draw shares one chi-squared mixer across all components, so the
     sample covariance converges to (nu/(nu-2)) A A'.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    n = _check_count(n, "sample")
     rng = np.random.default_rng(seed)
     N = spec.mixing.shape[0]
     z = rng.standard_normal((n, N))
@@ -92,29 +126,31 @@ def empirical_tail(samples: np.ndarray, u: float) -> EmpiricalTailEstimate:
     """Empirical VaR/CVaR of a return sample at tail level u.
 
     VaR is the negated order statistic at rank ceil(n*u); CVaR is the
-    negated mean of the ceil(n*u) smallest values.  Requires n*u >= 100
-    so the tail mean is meaningful.
+    negated mean of the ceil(n*u) smallest values.  Requires a 1-D
+    finite sample with n*u >= 100 so the tail mean is meaningful.
     """
     check_probability(u)
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     n = samples.size
     k = math.ceil(n * u)
     if n * u < _MIN_TAIL_POINTS:
         raise ValueError(
             f"insufficient tail mass: n*u = {n * u:.1f} < {_MIN_TAIL_POINTS}")
     tail = np.partition(samples, k - 1)[:k]
+    var_hat, cvar_hat = -float(tail.max()), -float(tail.mean())
+    sd = float(tail.std(ddof=1))
     return EmpiricalTailEstimate(
-        var_hat=-float(tail.max()),
-        cvar_hat=-float(tail.mean()),
+        var_hat=var_hat,
+        cvar_hat=cvar_hat,
         n_samples=n,
-        standard_error=float(tail.std(ddof=1)) / math.sqrt(k),
+        standard_error=sd / math.sqrt(k),
+        cvar_standard_error=math.sqrt(
+            (sd * sd + (1.0 - u) * (var_hat - cvar_hat) ** 2) / k),
     )
-
-
-def uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n weight vectors uniform on the simplex (normalized exponentials)."""
-    e = rng.standard_exponential((n, dim))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _kkt_residual(mu, cov, psi_val: float, w: np.ndarray) -> float:
@@ -137,30 +173,39 @@ def random_portfolio_search(p: PortfolioProblem, n: int, seed: int,
                             polish: bool = False) -> OptimizationResult:
     """Best of n uniform random simplex portfolios under the risk objective.
 
-    With polish=True the best draw seeds one projected-gradient run.
+    The portfolios are normalized exponential draws, scored in blocks.  The
+    objective is positively homogeneous of degree 1, so a draw e with row
+    sum s scores f(e)/s and only the winning draw is normalized.  Ties keep
+    the first draw.
+
+    No solver runs: the result reports iterations=0 and converged=False,
+    and its kkt_residual measures how far the best draw is from the
+    optimum.  With polish=True the best draw seeds one projected-gradient
+    run, whose result is returned instead.
     """
-    if n < 1:
-        raise ValueError("need at least one portfolio draw")
+    n = _check_count(n, "portfolio draw")
     rng = np.random.default_rng(seed)
     psi_val = p.psi()
-    best_w = None
-    best_f = math.inf
-    for start in range(0, n, 1_000_000):
-        W = uniform_simplex(rng, min(1_000_000, n - start), p.n_assets)
-        vals = -W @ p.mu + psi_val * np.sqrt(np.einsum("ij,jk,ik->i", W, p.cov, W))
+    best_e, best_s, best_f = None, 0.0, math.inf
+    for start in range(0, n, _BLOCK):
+        E = rng.standard_exponential((min(_BLOCK, n - start), p.n_assets))
+        s = E.sum(axis=1)
+        vals = (psi_val * np.sqrt(np.einsum("ij,ij->i", E @ p.cov, E)) - E @ p.mu) / s
         i = int(np.argmin(vals))
         if vals[i] < best_f:
-            best_f = float(vals[i])
-            best_w = W[i]
+            best_e, best_s, best_f = E[i], s[i], vals[i]
+    best_w = best_e / best_s
     if polish:
         return optimize(p, SolverOptions(), w0=best_w)
+    expected_return = float(p.mu @ best_w)
+    variance = float(best_w @ p.cov @ best_w)
     return OptimizationResult(
         weights=best_w,
         psi=psi_val,
-        risk=best_f,
-        expected_return=float(p.mu @ best_w),
-        variance=float(best_w @ p.cov @ best_w),
-        iterations=n,
-        converged=True,
+        risk=-expected_return + psi_val * math.sqrt(variance),
+        expected_return=expected_return,
+        variance=variance,
+        iterations=0,
+        converged=False,
         kkt_residual=_kkt_residual(p.mu, p.cov, psi_val, best_w),
     )

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from tailrisk import cli
+from tailrisk import cli, mc_oracle
 from tailrisk.special import NumericsError
 
 HERE = pathlib.Path(__file__).parent
@@ -239,6 +239,19 @@ class TestVerify:
                                "--samples", "20000", "--seed", "1")
         assert code2 == 0
         assert second == first
+
+    def test_bracket_tolerances(self, capsys):
+        # VaR uses the tail sample's standard error, CVaR the one that also
+        # carries the variance of estimating VaR
+        problem = cli.parse_problem_file(T3_FILE)
+        nu = problem.spec.nu
+        draws = mc_oracle.sample_t(nu, 20000, 1) * math.sqrt((nu - 2.0) / nu)
+        est = mc_oracle.empirical_tail(draws, problem.u)
+        _, out, _ = run(capsys, "verify", T3_FILE, "--samples", "20000", "--seed", "1")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["psi_var_bracket"]["observed"] == est.var_hat
+        assert checks["psi_var_bracket"]["tolerance"] == 3.0 * est.standard_error
+        assert checks["psi_cvar_bracket"]["tolerance"] == 3.0 * est.cvar_standard_error
 
     def test_gaussian_problem(self, capsys):
         code, out, _ = run(capsys, "verify", GAUSS_FILE,

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from tailrisk.mc_oracle import (
+    _BLOCK,
     EmpiricalTailEstimate,
     MultivariateTSpec,
     empirical_tail,
@@ -41,8 +43,59 @@ class TestSampleT:
         frac = np.mean(x < t_quantile(0.025, 4.0))
         assert abs(frac - 0.025) <= 3 * math.sqrt(0.025 * 0.975 / n)
 
+    @pytest.mark.parametrize("nu", [0.7, 3.0, 7.5])
+    def test_blocks_match_unblocked_draw(self, nu):
+        # gamma shape nu/2 below and above 1 takes different samplers
+        n = 3 * _BLOCK + 17
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal(n)
+        gamma = rng.standard_gamma(0.5 * nu, n)
+        assert np.array_equal(sample_t(nu, n, seed=17), z * np.sqrt(nu / (2 * gamma)))
+
+    def test_peak_memory(self):
+        # the 16 MB output plus block-sized mixers; full-size mixers and
+        # temporaries would need about 61 MiB
+        tracemalloc.start()
+        try:
+            sample_t(3.0, 2 * 10 ** 6, seed=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0, -3, 1e5])
+def test_sample_counts_must_be_positive_integers(bad, gauss_var_problem):
+    spec = MultivariateTSpec(np.eye(2), 5.0)
+    for call in (lambda: sample_t(4.0, bad, seed=0),
+                 lambda: sample_mvt(spec, bad, seed=0),
+                 lambda: random_portfolio_search(gauss_var_problem, bad, seed=0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_numpy_integer_count_accepted():
+    assert sample_t(4.0, np.int64(5), seed=0).shape == (5,)
+
+
+@pytest.mark.parametrize("nu", [math.inf, math.nan, 0.0])
+def test_sample_t_rejects_bad_dof(nu):
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        sample_t(nu, 10, seed=0)
+
 
 class TestSampleMvt:
+    @pytest.mark.parametrize("mixing,nu,mu", [
+        ([[1.0, 0.0], [0.0, math.nan]], 5.0, None),
+        ([[1.0, 0.0], [math.inf, 1.0]], 5.0, None),
+        (np.eye(2), 5.0, [0.0, math.inf]),
+        (np.eye(2), 5.0, [math.nan, 0.0]),
+        (np.eye(2), math.inf, None),
+    ])
+    def test_non_finite_spec_rejected(self, mixing, nu, mu):
+        with pytest.raises(ValueError):
+            MultivariateTSpec(mixing, nu, mu)
+
     def test_covariance_structure(self):
         spec = MultivariateTSpec(np.eye(3), 5.0)
         x = sample_mvt(spec, 10 ** 6, seed=4)
@@ -107,6 +160,50 @@ class TestEmpiricalTail:
         with pytest.raises(ValueError, match="insufficient tail mass"):
             empirical_tail(np.zeros(100), 1e-4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        x = np.random.default_rng(19).standard_normal(10 ** 4)
+        x[1234] = bad
+        with pytest.raises(ValueError, match="finite"):
+            empirical_tail(x, 0.025)
+
+    def test_two_dimensional_sample_rejected(self):
+        x = np.random.default_rng(20).standard_normal((100, 100))
+        with pytest.raises(ValueError, match="1-D"):
+            empirical_tail(x, 0.025)
+
+    def test_cvar_standard_error_formula(self):
+        x = sample_t(4.0, 10 ** 4, seed=21)
+        u = 0.025
+        est = empirical_tail(x, u)
+        tail = np.sort(x)[:250]
+        s2 = tail.var(ddof=1)
+        expected = math.sqrt((s2 + (1 - u) * (est.var_hat - est.cvar_hat) ** 2) / 250)
+        assert est.cvar_standard_error == pytest.approx(expected, rel=1e-12)
+        assert est.cvar_standard_error > est.standard_error
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_cvar_bracket_coverage(self, nu):
+        # 400 seeded replications, n = 2e4, u = 0.025 (250 tail points).
+        # With the tail sample's std alone the Gaussian case misses 18 of
+        # 400 at 3 SE and its z-scores spread 1.46; with the VaR term the
+        # z-scores are standard.
+        u, n, reps = 0.025, 20_000, 400
+        if nu is None:
+            target = psi(RiskSpec(GAUSSIAN, CVAR), u)
+        else:
+            target = psi(RiskSpec(STUDENT_T, CVAR, nu), u)
+        z = np.empty(reps)
+        for seed in range(reps):
+            if nu is None:
+                x = np.random.default_rng(seed).standard_normal(n)
+            else:
+                x = sample_t(nu, n, seed) * math.sqrt((nu - 2.0) / nu)
+            est = empirical_tail(x, u)
+            z[seed] = (est.cvar_hat - target) / est.cvar_standard_error
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 4
+        assert 0.9 <= z.std() <= 1.1
+
     @pytest.mark.parametrize("nu,u", [(3.0, 0.025), (4.0, 0.01), (6.0, 0.025)])
     def test_brackets_analytic_psi(self, nu, u):
         n = 10 ** 7
@@ -119,6 +216,36 @@ class TestEmpiricalTail:
 
 
 class TestRandomPortfolioSearch:
+    def test_blocks_match_unblocked_search(self, t3_cvar_problem):
+        p, n = t3_cvar_problem, 3 * _BLOCK + 17
+        e = np.random.default_rng(24).standard_exponential((n, p.n_assets))
+        W = np.array([row / row.sum() for row in e])
+        vals = -W @ p.mu + p.psi() * np.sqrt(np.einsum("ij,jk,ik->i", W, p.cov, W))
+        i = int(np.argmin(vals))
+        assert i >= 2 * _BLOCK  # this seed's best draw is in the third block
+        res = random_portfolio_search(p, n, seed=24)
+        assert np.array_equal(res.weights, W[i])
+        assert res.risk == pytest.approx(vals[i], rel=1e-15, abs=0)
+
+    def test_peak_memory(self, t3_cvar_problem):
+        # block-sized arrays only; full-size arrays of 1e6 draws would
+        # need about 84 MiB
+        tracemalloc.start()
+        try:
+            random_portfolio_search(t3_cvar_problem, 2 * 10 ** 6, seed=26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_reports_no_solver_run(self, t3_cvar_problem):
+        res = random_portfolio_search(t3_cvar_problem, 10 ** 4, seed=25)
+        assert res.iterations == 0
+        assert res.converged is False
+        assert res.kkt_residual > 0.0
+        assert res.risk == pytest.approx(
+            -res.expected_return + res.psi * math.sqrt(res.variance), rel=1e-15)
+
     def test_single_asset(self):
         p = PortfolioProblem([0.01], [[0.0004]], RiskSpec(GAUSSIAN, VAR), 0.025)
         res = random_portfolio_search(p, 10, seed=0)
