@@ -13,7 +13,6 @@ from .mc_oracle import (
 from .portfolio import (
     OptimizationResult,
     PortfolioProblem,
-    SolverOptions,
     frontier,
     min_variance_weights,
     optimize,
@@ -39,7 +38,6 @@ from .special import (
     gauss_pdf,
     gauss_quantile,
     inv_reg_inc_beta,
-    log_gamma,
     reg_inc_beta,
 )
 from .tquantile import (

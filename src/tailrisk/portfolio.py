@@ -1,31 +1,35 @@
 """Mean-standard-deviation portfolio optimization over the long-only simplex.
 
 The objective is  -mu.w + psi(u) * sqrt(w' C w), which is convex (linear
-plus a scaled norm).  Projected gradient with an exact Euclidean simplex
-projection and Armijo backtracking finds which assets are held.  Once the
-held set S stays the same for two iterations, the optimum over S with
-weights summing to one has a closed form (the two-fund theorem: the
-tangency point of S's mean-sigma hyperbola), which one Cholesky solve
-gives.  If it is long-only the solver jumps there; otherwise it steps
-toward it as far as the simplex allows.  A jump that leaves a positive
-projected gradient hands back to projected gradient, so the result
-carries a KKT certificate either way.
+plus a scaled norm).  On a fixed set S of held assets, with weights
+summing to one and no sign constraint, it has a closed-form optimum (the
+two-fund theorem: the tangency point of S's mean-sigma hyperbola), which
+one Cholesky solve gives.  When psi is below the slope of the hyperbola's
+asymptote there is no optimum and the same solve gives a ray along which
+the objective falls without bound.
+
+The solver is a primal active-set loop over these face solves, the
+critical-line view of the long-only frontier (Markowitz 1956).  It starts
+at the single asset of lowest risk.  It moves toward the face optimum, or
+along the ray, until a weight reaches zero, and that asset leaves S.  If
+no weight reaches zero it jumps to the optimum and prices the unheld
+assets: the one with the most negative reduced gradient joins S.  It
+stops when no reduced gradient is below a tolerance scaled to the
+problem, so the result carries a KKT certificate.  The iteration count is
+the number of face solves.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import risk as _risk
-from .risk import RiskSpec
-from .special import check_probability
+from .risk import RiskSpec, check_loss_tail
 
 __all__ = [
     "PortfolioProblem",
-    "SolverOptions",
     "OptimizationResult",
-    "project_simplex",
     "risk_objective",
     "risk_gradient",
     "optimize",
@@ -35,6 +39,12 @@ __all__ = [
 ]
 
 _ACTIVE_TOL = 1e-8  # weights below this count as at the boundary for KKT
+# Face solves per run.  A run takes about one per asset it ever holds, so
+# the cap stops only a run that has lost its way; it is read at call time.
+_MAX_ITER = 10_000
+# The loop stops once every reduced gradient is above -_STOP_TOL times
+# max|mu| + psi * max sqrt(C_ii), the scale of the gradient.
+_STOP_TOL = 1e-13
 
 
 def _checked_cov(cov, n: int | None = None) -> np.ndarray:
@@ -86,9 +96,7 @@ class PortfolioProblem:
         if not np.all(np.isfinite(mu)):
             raise ValueError("expected returns must be finite")
         object.__setattr__(self, "cov", _checked_cov(self.cov, mu.size))
-        check_probability(self.u)
-        if self.u >= 0.5:
-            raise ValueError(f"loss-tail level must satisfy u < 1/2, got {self.u}")
+        check_loss_tail(self.u)
 
     @property
     def n_assets(self) -> int:
@@ -96,16 +104,6 @@ class PortfolioProblem:
 
     def psi(self) -> float:
         return _risk.psi(self.spec, self.u)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iter: int = 100_000
-    grad_tol: float = 1e-9     # projected-gradient norm
-    step_tol: float = 1e-12    # weight-change norm
-    initial_step: float = 1.0
-    step_growth: float = 1.3
-    step_shrink: float = 0.5
 
 
 @dataclass
@@ -140,17 +138,6 @@ def check_weights(w: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w : w >= 0, sum w = 1}."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    rho = ind[u - css / ind > 0][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def _objective(mu, cov, psi_val, w):
     return -float(mu @ w) + psi_val * math.sqrt(float(w @ cov @ w))
 
@@ -181,85 +168,73 @@ def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
 
 
 def _face_optimum(mu, cov, psi_val, held):
-    """Minimizer of the objective over {w : sum w = 1, w = 0 off held}, with
-    no sign constraint, or None if psi is too small for one to exist.
+    """The objective's minimizer over {w : sum w = 1, w = 0 off held}, with
+    no sign constraint, as (w, True); or, when psi is too small for one to
+    exist, (d, False) with d (sum d = 0) a ray along which the objective
+    falls without bound.
 
-    With a = C_S^-1 1 and b = C_S^-1 mu_S on the held assets S, it is
-    (b + lam a) / sqrt(disc), the tangency point of S's mean-sigma
-    hyperbola (Merton 1972).
+    With a = C_S^-1 1, b = C_S^-1 mu_S, A = 1'a and m0 = 1'b / A on the
+    held assets S, d = b - m0 a is the direction of the upper asymptote of
+    S's mean-sigma hyperbola and s2 = (mu_S - m0)'d its squared slope.  The
+    minimizer is the tangency point a/A + d / sqrt(A (psi^2 - s2)) (Merton
+    1972), which exists when psi^2 > s2.  Taking d free of its mean and s2
+    from mu_S - m0 keeps the sum at one and the sign of psi^2 - s2 exact
+    to rounding when the returns on S are nearly equal and psi is small.
     """
     L = np.linalg.cholesky(cov[np.ix_(held, held)])
     rhs = np.column_stack((np.ones(L.shape[0]), mu[held]))
     a, b = np.linalg.solve(L.T, np.linalg.solve(L, rhs)).T
-    A, B = float(a.sum()), float(b.sum())
-    disc = B * B - A * float(mu[held] @ b) + A * psi_val * psi_val
+    A = float(a.sum())
+    m0 = float(b.sum()) / A
+    d = b - m0 * a
+    d -= d.mean()
+    disc = A * (psi_val * psi_val - float((mu[held] - m0) @ d))
+    x = np.zeros(mu.size)
     if not disc > 0.0:
-        return None
-    root = math.sqrt(disc)
-    w = np.zeros(mu.size)
-    w[held] = (b + (root - B) / A * a) / root
-    return w
+        x[held] = d
+        return x, False
+    x[held] = a / A + d / math.sqrt(disc)
+    return x, True
 
 
-def _face_step(mu, cov, psi_val, w, held):
-    """w moved toward the face optimum of its held assets, as far as the
-    simplex allows (all the way if the optimum is long-only)."""
-    target = _face_optimum(mu, cov, psi_val, held)
-    if target is None:
-        return None
-    short = np.flatnonzero(target < 0.0)
-    if short.size == 0:
-        return target
-    ratios = w[short] / (w[short] - target[short])
-    j = int(np.argmin(ratios))
-    wn = np.maximum(w + ratios[j] * (target - w), 0.0)
-    wn[short[j]] = 0.0
-    return wn
-
-
-def _minimize(mu, cov, psi_val, opts: SolverOptions,
-              w0: np.ndarray | None = None) -> OptimizationResult:
-    n = mu.size
-    w = np.full(n, 1.0 / n) if w0 is None else project_simplex(w0)
-    fw = _objective(mu, cov, psi_val, w)
-    gw = _gradient(mu, cov, psi_val, w)
-    t = opts.initial_step
+def _minimize(mu, cov, psi_val, w=None) -> OptimizationResult:
+    """Primal active-set descent from the feasible weights w (by default
+    the single asset of lowest risk); each iteration is one face solve."""
+    if w is None:
+        w = np.zeros(mu.size)
+        w[np.argmin(psi_val * np.sqrt(np.diag(cov)) - mu)] = 1.0
+    held = w > 0.0
+    tol = _STOP_TOL * (float(np.max(np.abs(mu)))
+                       + psi_val * math.sqrt(float(np.max(np.diag(cov)))))
     converged = False
     iters = 0
-    held, tried = None, set()
-    for iters in range(1, opts.max_iter + 1):
-        while True:
-            wn = project_simplex(w - t * gw)
-            d = wn - w
-            fn = _objective(mu, cov, psi_val, wn)
-            # sufficient decrease for the proximal-gradient model
-            if fn <= fw + float(gw @ d) + float(d @ d) / (2.0 * t) + 1e-18:
-                break
-            t *= opts.step_shrink
-        pg_norm = float(np.linalg.norm(w - project_simplex(w - gw)))
-        step_norm = float(np.linalg.norm(d))
-        w, fw = wn, fn
+    for iters in range(1, _MAX_ITER + 1):
+        x, bounded = _face_optimum(mu, cov, psi_val, held)
+        d = x - w if bounded else x
+        block = np.flatnonzero(x < 0.0 if bounded else d < 0.0)
+        if block.size:
+            # ratio test: move until the first weight reaches zero; that
+            # asset leaves the held set
+            ratios = w[block] / -d[block]
+            k = int(np.argmin(ratios))
+            w = np.maximum(w + ratios[k] * d, 0.0)
+            w[block[k]] = 0.0
+            held[block[k]] = False
+            continue
+        # the face optimum is long-only: price the unheld assets there
+        w = x
         gw = _gradient(mu, cov, psi_val, w)
-        if pg_norm <= opts.grad_tol or step_norm <= opts.step_tol:
+        reduced = np.where(held, np.inf, gw - float(gw @ w))
+        j = int(np.argmin(reduced))
+        if not reduced[j] < -tol:
             converged = True
             break
-        # the same held assets after two iterations: try that face's optimum
-        prev, held = held, w > 0.0
-        if prev is not None and np.array_equal(prev, held) \
-                and (key := held.tobytes()) not in tried:
-            tried.add(key)
-            wf = _face_step(mu, cov, psi_val, w, held)
-            if wf is not None and (ff := _objective(mu, cov, psi_val, wf)) <= fw:
-                w, fw = wf, ff
-                gw = _gradient(mu, cov, psi_val, w)
-                if np.linalg.norm(w - project_simplex(w - gw)) <= opts.grad_tol:
-                    converged = True
-                    break
-        t *= opts.step_growth
+        held[j] = True
+    gw = _gradient(mu, cov, psi_val, w)
     return OptimizationResult(
         weights=w,
         psi=psi_val,
-        risk=fw,
+        risk=_objective(mu, cov, psi_val, w),
         expected_return=float(mu @ w),
         variance=float(w @ cov @ w),
         iterations=iters,
@@ -268,15 +243,13 @@ def _minimize(mu, cov, psi_val, opts: SolverOptions,
     )
 
 
-def optimize(p: PortfolioProblem, opts: SolverOptions | None = None,
-             w0: np.ndarray | None = None) -> OptimizationResult:
+def optimize(p: PortfolioProblem) -> OptimizationResult:
     """Minimize the risk objective over the long-only simplex.
 
-    Starts from uniform weights (or w0 if given).  On hitting the
-    iteration cap the best iterate is returned with converged=False; the
-    caller decides how to treat it.
+    On hitting the iteration cap the last iterate (always feasible) is
+    returned with converged=False; the caller decides how to treat it.
     """
-    return _minimize(p.mu, p.cov, p.psi(), opts or SolverOptions(), w0)
+    return _minimize(p.mu, p.cov, p.psi())
 
 
 def default_x_grid() -> list[float]:
@@ -288,17 +261,21 @@ def frontier(p: PortfolioProblem, x_grid=None) -> list[OptimizationResult]:
     """One optimization per tail level u = 10^-x along the grid.
 
     Only psi changes along the grid, so every point reuses p's validated
-    mu and C; each result carries the psi it was solved at.
+    mu and C, and each solve starts from the previous point's weights;
+    each result carries the psi it was solved at.
     """
     if x_grid is None:
         x_grid = default_x_grid()
     psis = [_risk.psi(p.spec, 10.0 ** -x) for x in x_grid]
-    return [_minimize(p.mu, p.cov, psi_val, SolverOptions()) for psi_val in psis]
+    results, w = [], None
+    for psi_val in psis:
+        results.append(_minimize(p.mu, p.cov, psi_val, w))
+        w = results[-1].weights
+    return results
 
 
-def min_variance_weights(cov: np.ndarray,
-                         opts: SolverOptions | None = None) -> np.ndarray:
+def min_variance_weights(cov: np.ndarray) -> np.ndarray:
     """Simplex portfolio minimizing w' C w (the psi -> infinity limit)."""
     cov = _checked_cov(cov)
     mu = np.zeros(cov.shape[0])
-    return _minimize(mu, cov, 1.0, opts or SolverOptions()).weights
+    return _minimize(mu, cov, 1.0).weights

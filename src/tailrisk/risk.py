@@ -10,7 +10,7 @@ comparable like for like.
 import math
 from dataclasses import dataclass
 
-from .special import check_probability, gauss_pdf, gauss_quantile, log_gamma
+from .special import check_probability, gauss_pdf, gauss_quantile
 from .tquantile import t_quantile
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "RiskSpec",
     "MomentParams",
     "psi",
+    "check_loss_tail",
     "k_function",
     "value_at_risk",
     "conditional_value_at_risk",
@@ -72,7 +73,8 @@ class MomentParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-def _check_loss_tail(u: float) -> float:
+def check_loss_tail(u: float) -> float:
+    """u, or ValueError unless 0 < u < 1/2 (the loss tail)."""
     check_probability(u)
     if u >= 0.5:
         raise ValueError(f"loss-tail level must satisfy u < 1/2, got {u}")
@@ -86,17 +88,17 @@ def k_function(t: float, nu: float) -> float:
               / (2 sqrt(pi) Gamma(nu/2)),
     computed in log space since nu^(nu/2) overflows near nu ~ 300.
     """
-    if not (nu > 1.0):
-        raise ValueError(f"k_function requires nu > 1, got {nu}")
-    log_k = 0.5 * nu * math.log(nu) + log_gamma(0.5 * (nu - 1.0)) \
+    if not (1.0 < nu < math.inf):
+        raise ValueError(f"k_function requires a finite nu > 1, got {nu}")
+    log_k = 0.5 * nu * math.log(nu) + math.lgamma(0.5 * (nu - 1.0)) \
         + 0.5 * (1.0 - nu) * math.log(nu + t * t) \
-        - math.log(2.0) - 0.5 * math.log(math.pi) - log_gamma(0.5 * nu)
+        - math.log(2.0) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * nu)
     return math.exp(log_k)
 
 
 def psi(spec: RiskSpec, u: float) -> float:
     """Loss multiplier psi(u) for the given distribution/measure pair."""
-    _check_loss_tail(u)
+    check_loss_tail(u)
     if spec.distribution == GAUSSIAN:
         if spec.measure == VAR:
             return -gauss_quantile(u)

@@ -9,7 +9,6 @@ import math
 
 __all__ = [
     "NumericsError",
-    "log_gamma",
     "gauss_pdf",
     "gauss_cdf",
     "gauss_quantile",
@@ -36,13 +35,6 @@ def check_probability(u: float) -> float:
     if not (0.0 < u < 1.0):
         raise ValueError(f"probability must lie strictly in (0,1), got {u}")
     return u
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def gauss_pdf(x: float) -> float:

@@ -12,12 +12,7 @@ Three quantile routes are provided:
 
 import math
 
-from .special import (
-    check_probability,
-    inv_reg_inc_beta,
-    log_gamma,
-    reg_inc_beta,
-)
+from .special import check_probability, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "t_pdf",
@@ -30,15 +25,16 @@ __all__ = [
 
 
 def check_dof(nu: float) -> float:
-    if not (nu > 0.0):
-        raise ValueError(f"degrees of freedom must be positive, got {nu}")
+    """nu, or ValueError unless it is positive and finite."""
+    if not (0.0 < nu < math.inf):
+        raise ValueError(f"degrees of freedom must be positive and finite, got {nu}")
     return nu
 
 
 def t_pdf(t: float, nu: float) -> float:
     """Student-T density h(t, nu)."""
     check_dof(nu)
-    log_norm = log_gamma(0.5 * (nu + 1.0)) - log_gamma(0.5 * nu) \
+    log_norm = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) \
         - 0.5 * math.log(nu * math.pi)
     return math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
 
@@ -128,7 +124,7 @@ def t_quantile_tail_series(u: float, nu: float) -> float:
     if not (2.0 <= nu <= 11.0):
         raise ValueError(f"tail series requires 2 <= nu <= 11, got {nu}")
     w = (u * nu * math.sqrt(math.pi)
-         * math.exp(log_gamma(0.5 * nu) - log_gamma(0.5 * (nu + 1.0)))) ** (2.0 / nu)
+         * math.exp(math.lgamma(0.5 * nu) - math.lgamma(0.5 * (nu + 1.0)))) ** (2.0 / nu)
     beta = 0.0
     wk = 1.0
     for dk in tail_series_coeffs(nu):

@@ -241,8 +241,8 @@ class TestVerify:
         assert second == first
 
     def test_bracket_tolerances(self, capsys):
-        # VaR uses the tail sample's standard error, CVaR the one that also
-        # carries the variance of estimating VaR
+        # VaR uses the standard error of its order statistic, CVaR the one
+        # that also carries the variance of estimating VaR
         problem = cli.parse_problem_file(T3_FILE)
         nu = problem.spec.nu
         draws = mc_oracle.sample_t(nu, 20000, 1) * math.sqrt((nu - 2.0) / nu)
@@ -250,7 +250,7 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", T3_FILE, "--samples", "20000", "--seed", "1")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["psi_var_bracket"]["observed"] == est.var_hat
-        assert checks["psi_var_bracket"]["tolerance"] == 3.0 * est.standard_error
+        assert checks["psi_var_bracket"]["tolerance"] == 3.0 * est.var_standard_error
         assert checks["psi_cvar_bracket"]["tolerance"] == 3.0 * est.cvar_standard_error
 
     def test_gaussian_problem(self, capsys):
@@ -289,12 +289,7 @@ class TestExitCodes:
     def test_solver_nonconvergence_maps_to_3(self, capsys, monkeypatch):
         from tailrisk import portfolio
 
-        real = portfolio.optimize
-
-        def capped(problem, opts=None, w0=None):
-            return real(problem, portfolio.SolverOptions(max_iter=1))
-
-        monkeypatch.setattr(cli.portfolio, "optimize", capped)
+        monkeypatch.setattr(portfolio, "_MAX_ITER", 1)
         code, out, _ = run(capsys, "optimize", T3_FILE)
         assert code == 3
         assert not json.loads(out)["converged"]

@@ -182,6 +182,46 @@ class TestEmpiricalTail:
         assert est.cvar_standard_error == pytest.approx(expected, rel=1e-12)
         assert est.cvar_standard_error > est.standard_error
 
+    def test_var_standard_error_formula(self):
+        # sqrt(u(1-u)/n) over a density estimated from the spacing of the
+        # order statistics k - m and k + m, m = round(sqrt(k))
+        x = sample_t(4.0, 10 ** 4, seed=21)
+        s = np.sort(x)
+        est = empirical_tail(x, 0.025)
+        k, m = 250, 16
+        expected = math.sqrt(0.025 * 0.975 / 1e4) * (s[k - 1 + m] - s[k - 1 - m]) \
+            * 1e4 / (2 * m)
+        assert est.var_hat == -s[k - 1]
+        assert est.var_standard_error == pytest.approx(expected, rel=1e-12)
+        # near u = 1 the upper rank is clipped to the largest draw
+        est = empirical_tail(x[:1000], 0.999)
+        s = np.sort(x[:1000])
+        expected = math.sqrt(0.999 * 0.001 / 1000) * (s[999] - s[998 - 32]) \
+            * 1000 / (999 - (998 - 32))
+        assert est.var_standard_error == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_var_bracket_coverage(self, nu):
+        # 400 seeded replications, n = 2e4, u = 0.025 (250 tail points).
+        # With the tail sample's std/sqrt(k) the z-scores spread 1.21
+        # (Gaussian) and 0.60 (T4); with the order statistic's standard
+        # error, 0.99 and 1.02.
+        u, n, reps = 0.025, 20_000, 400
+        if nu is None:
+            target = psi(RiskSpec(GAUSSIAN, VAR), u)
+        else:
+            target = psi(RiskSpec(STUDENT_T, VAR, nu), u)
+        z = np.empty(reps)
+        for seed in range(reps):
+            if nu is None:
+                x = np.random.default_rng(seed).standard_normal(n)
+            else:
+                x = sample_t(nu, n, seed) * math.sqrt((nu - 2.0) / nu)
+            est = empirical_tail(x, u)
+            z[seed] = (est.var_hat - target) / est.var_standard_error
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 4
+        assert 0.9 <= z.std() <= 1.1
+
     @pytest.mark.parametrize("nu", [None, 4.0])
     def test_cvar_bracket_coverage(self, nu):
         # 400 seeded replications, n = 2e4, u = 0.025 (250 tail points).
@@ -262,11 +302,6 @@ class TestRandomPortfolioSearch:
                              RiskSpec(GAUSSIAN, VAR), 0.025)
         res = random_portfolio_search(p, 10 ** 5, seed=14)
         assert np.max(np.abs(res.weights - 0.5)) <= 0.02
-
-    def test_polish_reaches_optimum(self, gauss_var_problem):
-        res = random_portfolio_search(gauss_var_problem, 1000, seed=15, polish=True)
-        opt = optimize(gauss_var_problem)
-        assert abs(res.risk - opt.risk) <= 1e-9
 
     def test_deterministic(self, gauss_var_problem):
         a = random_portfolio_search(gauss_var_problem, 10 ** 4, seed=16)

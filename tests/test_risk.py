@@ -116,6 +116,10 @@ class TestKFunction:
         with pytest.raises(ValueError):
             k_function(0.0, 1.0)
 
+    def test_infinite_nu_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            k_function(0.0, math.inf)
+
 
 class TestVarCvar:
     def test_gaussian_var(self):

@@ -8,23 +8,10 @@ from tailrisk.special import (
     gauss_pdf,
     gauss_quantile,
     inv_reg_inc_beta,
-    log_gamma,
     reg_inc_beta,
 )
 
 BETA_AB = (0.25, 0.5, 1.0, 2.0, 5.0, 50.0)
-
-
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
 
 
 class TestGaussPdfCdf:

@@ -25,12 +25,20 @@ class TestPdf:
         with pytest.raises(ValueError):
             t_pdf(0.0, 0.0)
 
+    def test_infinite_nu_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            t_pdf(0.0, math.inf)
+
 
 class TestCdf:
     def test_values(self):
         assert t_cdf(0.0, 3.7) == 0.5
         assert t_cdf(-2.7764, 4.0) == pytest.approx(0.025, abs=2e-6)
         assert t_cdf(1.0, 1.0) == pytest.approx(0.75, rel=1e-13)
+
+    def test_infinite_nu_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            t_cdf(-2.0, math.inf)
 
     @pytest.mark.parametrize("nu", [2.5, 4.0, 8.0])
     def test_pdf_is_cdf_derivative(self, nu):
@@ -67,6 +75,10 @@ class TestQuantile:
         # printed 2.62 unscaled by sqrt((nu-2)/nu)
         assert t_quantile(0.01, 3.0) == pytest.approx(-2.62 / math.sqrt(1.0 / 3.0),
                                                       abs=0.01)
+
+    def test_infinite_nu_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            t_quantile(0.01, math.inf)
 
     @pytest.mark.parametrize("nu", [2.25, 2.5, 3.0, 4.0, 5.0, 6.0, 12.0])
     def test_round_trip(self, nu):
