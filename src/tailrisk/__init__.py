@@ -17,7 +17,6 @@ from .portfolio import (
     min_variance_weights,
     optimize,
     risk_gradient,
-    risk_objective,
 )
 from .risk import (
     CVAR,

@@ -131,8 +131,11 @@ def _parse_nu_token(token: str) -> float | None:
     return float(token)
 
 
-def _csv_list(text: str) -> list[str]:
-    return [tok for tok in text.replace(",", " ").split() if tok]
+def _csv_list(text: str, flag: str) -> list[str]:
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ValueError(f"{flag} lists no values")
+    return tokens
 
 
 def _spec_for(nu: float | None, measure: str) -> RiskSpec:
@@ -170,11 +173,11 @@ def cmd_psi_table(args) -> int:
                 for measure in (VAR, CVAR):
                     rows.append(_psi_row(nu, measure, u))
     else:
-        nus = [_parse_nu_token(t) for t in _csv_list(args.nu)] \
+        nus = [_parse_nu_token(t) for t in _csv_list(args.nu, "--nu")] \
             if args.nu is not None else [None]
-        us = [float(t) for t in _csv_list(args.u)] \
+        us = [float(t) for t in _csv_list(args.u, "--u")] \
             if args.u is not None else list(T_TABLE_U)
-        measures = [t.lower() for t in _csv_list(args.measure)] \
+        measures = [t.lower() for t in _csv_list(args.measure, "--measure")] \
             if args.measure is not None else [VAR, CVAR]
         for nu in nus:
             for u in us:
@@ -185,6 +188,9 @@ def cmd_psi_table(args) -> int:
 
 
 def _x_grid(x_from: float, x_to: float, x_step: float) -> list[float]:
+    for flag, value in (("--x-from", x_from), ("--x-to", x_to), ("--x-step", x_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if x_step <= 0 or x_to < x_from:
         raise ValueError("x range requires x-from <= x-to and a positive step")
     count = int(round((x_to - x_from) / x_step)) + 1
@@ -192,7 +198,7 @@ def _x_grid(x_from: float, x_to: float, x_step: float) -> list[float]:
 
 
 def cmd_losscurves(args) -> int:
-    nus = [_parse_nu_token(t) for t in _csv_list(args.nu)]
+    nus = [_parse_nu_token(t) for t in _csv_list(args.nu, "--nu")]
     rows = []
     for x in _x_grid(args.x_from, args.x_to, args.x_step):
         u = 10.0 ** -x

@@ -1,22 +1,17 @@
 """Mean-standard-deviation portfolio optimization over the long-only simplex.
 
-The objective is  -mu.w + psi(u) * sqrt(w' C w), which is convex (linear
-plus a scaled norm).  On a fixed set S of held assets, with weights
-summing to one and no sign constraint, it has a closed-form optimum (the
-two-fund theorem: the tangency point of S's mean-sigma hyperbola), which
-one Cholesky solve gives.  When psi is below the slope of the hyperbola's
-asymptote there is no optimum and the same solve gives a ray along which
-the objective falls without bound.
-
-The solver is a primal active-set loop over these face solves, the
-critical-line view of the long-only frontier (Markowitz 1956).  It starts
-at the single asset of lowest risk.  It moves toward the face optimum, or
-along the ray, until a weight reaches zero, and that asset leaves S.  If
-no weight reaches zero it jumps to the optimum and prices the unheld
-assets: the one with the most negative reduced gradient joins S.  It
-stops when no reduced gradient is below a tolerance scaled to the
-problem, so the result carries a KKT certificate.  The iteration count is
-the number of face solves.
+The objective -mu.w + psi(u) * sqrt(w' C w) is convex.  On a set S of held
+assets, with weights summing to one and no sign constraint, its optimum is
+the tangency point of S's mean-sigma hyperbola at slope psi (the two-fund
+theorem): w = a/A + d/v with v = sqrt(A (psi^2 - s2)), from one Cholesky
+solve.  The long-only optimum is thus one piecewise closed-form path in
+psi, the critical line (Markowitz 1956), which the solver sweeps up from
+psi = 0, where the optimum is the asset of highest return.  On each face
+the next event is the v where a held weight falls to zero (the asset
+leaves) or an unheld reduced gradient does (it joins); requested psis
+below it are read off the face.  The path point lies on every face's
+hyperbola, so psi^2 > s2 on each face met and none is unbounded.  A
+result's iteration count is the number of faces solved up to its psi.
 """
 
 import math
@@ -30,7 +25,6 @@ from .risk import RiskSpec, check_loss_tail
 __all__ = [
     "PortfolioProblem",
     "OptimizationResult",
-    "risk_objective",
     "risk_gradient",
     "optimize",
     "frontier",
@@ -39,12 +33,9 @@ __all__ = [
 ]
 
 _ACTIVE_TOL = 1e-8  # weights below this count as at the boundary for KKT
-# Face solves per run.  A run takes about one per asset it ever holds, so
-# the cap stops only a run that has lost its way; it is read at call time.
+# Faces per sweep.  A sweep solves about one per asset it ever holds, so
+# the cap stops only a sweep that has lost its way; it is read at call time.
 _MAX_ITER = 10_000
-# The loop stops once every reduced gradient is above -_STOP_TOL times
-# max|mu| + psi * max sqrt(C_ii), the scale of the gradient.
-_STOP_TOL = 1e-13
 
 
 def _checked_cov(cov, n: int | None = None) -> np.ndarray:
@@ -129,127 +120,109 @@ class OptimizationResult:
         }
 
 
-def check_weights(w: np.ndarray, n: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weight vector has shape {w.shape}, expected ({n},)")
-    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
-        raise ValueError("weights must be nonnegative and sum to one")
-    return w
-
-
-def _objective(mu, cov, psi_val, w):
-    return -float(mu @ w) + psi_val * math.sqrt(float(w @ cov @ w))
-
-
 def _gradient(mu, cov, psi_val, w):
     return -mu + psi_val * (cov @ w) / math.sqrt(float(w @ cov @ w))
 
 
-def risk_objective(p: PortfolioProblem, w: np.ndarray) -> float:
-    """-mu.w + psi(u) sqrt(w' C w) at the given feasible weights."""
-    w = check_weights(w, p.n_assets)
-    return _objective(p.mu, p.cov, p.psi(), w)
-
-
 def risk_gradient(p: PortfolioProblem, w: np.ndarray) -> np.ndarray:
-    """Gradient -mu + psi(u) C w / sqrt(w' C w)."""
-    w = check_weights(w, p.n_assets)
+    """Gradient -mu + psi(u) C w / sqrt(w' C w) at the given weights, which
+    must be nonnegative and sum to one."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (p.n_assets,) or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
+        raise ValueError(f"weights must be {p.n_assets} nonnegative numbers summing to one")
     return _gradient(p.mu, p.cov, p.psi(), w)
 
 
 def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
     lam = float(grad @ w)  # weighted average multiplier (sum w = 1)
     active = w > _ACTIVE_TOL
-    res = float(np.max(np.abs(grad[active] - lam)))
-    if np.any(~active):
-        res = max(res, float(np.max(np.maximum(0.0, lam - grad[~active]))))
-    return res
+    return max(float(np.max(np.abs(grad[active] - lam))),
+               float(np.max(lam - grad[~active], initial=0.0)))
 
 
-def _face_optimum(mu, cov, psi_val, held):
-    """The objective's minimizer over {w : sum w = 1, w = 0 off held}, with
-    no sign constraint, as (w, True); or, when psi is too small for one to
-    exist, (d, False) with d (sum d = 0) a ray along which the objective
-    falls without bound.
-
-    With a = C_S^-1 1, b = C_S^-1 mu_S, A = 1'a and m0 = 1'b / A on the
-    held assets S, d = b - m0 a is the direction of the upper asymptote of
-    S's mean-sigma hyperbola and s2 = (mu_S - m0)'d its squared slope.  The
-    minimizer is the tangency point a/A + d / sqrt(A (psi^2 - s2)) (Merton
-    1972), which exists when psi^2 > s2.  Taking d free of its mean and s2
-    from mu_S - m0 keeps the sum at one and the sign of psi^2 - s2 exact
-    to rounding when the returns on S are nearly equal and psi is small.
+def _face(mu, cov, held):
+    """(a, d, A, m0, s2) of the held assets S: a = C_S^-1 1, A = 1'a,
+    m0 = 1'b / A for b = C_S^-1 mu_S, d = b - m0 a (the asymptote of S's
+    mean-sigma hyperbola) and s2 = (mu_S - m0)'d (its squared slope).  The
+    optimum on S is a/A + d / sqrt(A (psi^2 - s2)) (Merton 1972).  d is
+    made free of its mean and s2 taken from mu_S - m0, which keeps the
+    sum at one and psi^2 - s2 exact to rounding for nearly equal returns.
     """
-    L = np.linalg.cholesky(cov[np.ix_(held, held)])
+    L = np.linalg.cholesky(cov[held][:, held])
     rhs = np.column_stack((np.ones(L.shape[0]), mu[held]))
     a, b = np.linalg.solve(L.T, np.linalg.solve(L, rhs)).T
     A = float(a.sum())
     m0 = float(b.sum()) / A
     d = b - m0 * a
     d -= d.mean()
-    disc = A * (psi_val * psi_val - float((mu[held] - m0) @ d))
-    x = np.zeros(mu.size)
-    if not disc > 0.0:
-        x[held] = d
-        return x, False
-    x[held] = a / A + d / math.sqrt(disc)
-    return x, True
+    return a, d, A, m0, float((mu[held] - m0) @ d)
 
 
-def _minimize(mu, cov, psi_val, w=None) -> OptimizationResult:
-    """Primal active-set descent from the feasible weights w (by default
-    the single asset of lowest risk); each iteration is one face solve."""
-    if w is None:
-        w = np.zeros(mu.size)
-        w[np.argmin(psi_val * np.sqrt(np.diag(cov)) - mu)] = 1.0
-    held = w > 0.0
-    tol = _STOP_TOL * (float(np.max(np.abs(mu)))
-                       + psi_val * math.sqrt(float(np.max(np.diag(cov)))))
-    converged = False
-    iters = 0
-    for iters in range(1, _MAX_ITER + 1):
-        x, bounded = _face_optimum(mu, cov, psi_val, held)
-        d = x - w if bounded else x
-        block = np.flatnonzero(x < 0.0 if bounded else d < 0.0)
-        if block.size:
-            # ratio test: move until the first weight reaches zero; that
-            # asset leaves the held set
-            ratios = w[block] / -d[block]
-            k = int(np.argmin(ratios))
-            w = np.maximum(w + ratios[k] * d, 0.0)
-            w[block[k]] = 0.0
-            held[block[k]] = False
-            continue
-        # the face optimum is long-only: price the unheld assets there
-        w = x
-        gw = _gradient(mu, cov, psi_val, w)
-        reduced = np.where(held, np.inf, gw - float(gw @ w))
-        j = int(np.argmin(reduced))
-        if not reduced[j] < -tol:
-            converged = True
+def _result(mu, cov, psi_val, w, faces, converged) -> OptimizationResult:
+    ret, var = float(mu @ w), float(w @ cov @ w)
+    return OptimizationResult(w, psi_val, -ret + psi_val * math.sqrt(var), ret, var, faces,
+                              converged, _kkt_residual(_gradient(mu, cov, psi_val, w), w))
+
+
+def _sweep(mu, cov, psis) -> list[OptimizationResult]:
+    """The optimum at each multiplier in psis (positive, any order), read
+    off the critical line swept up from psi = 0.  Events are ordered in
+    v = sqrt(A (psi^2 - s2)) = psi / sigma, which is continuous across faces.
+    """
+    n = mu.size
+    results = [None] * len(psis)
+    pending = sorted(range(len(psis)), key=psis.__getitem__)
+    # at psi = 0 the optimum is the asset of highest return; among equal
+    # returns the least volatile, then the first
+    last = start = int(np.lexsort((np.diag(cov), -mu))[0])
+    held = np.arange(n) == start
+    v, faces = 0.0, 0
+    while True:
+        faces += 1
+        a, d, A, m0, s2 = _face(mu, cov, held)
+        # the v at which each asset changes: a held asset leaves where its
+        # weight a_i/A + d_i/v falls to zero, an unheld one joins where its
+        # reduced gradient (C_jS a - 1) v/A + C_jS d - mu_j + m0 does.  An
+        # event below the current v is due now.  The asset that changed
+        # last sits exactly at its event, so it takes no part.
+        ca, cd = np.vstack((a, d)) @ cov[held]  # C symmetric: C_jS a = a'C_Sj
+        event = np.full(n, np.inf)
+        leave = a < 0.0
+        event[np.flatnonzero(held)[leave]] = -A * d[leave] / a[leave]
+        join = ~held & (ca < 1.0)
+        event[join] = A * (cd[join] - mu[join] + m0) / (1.0 - ca[join])
+        event[last] = np.inf
+        last = int(np.argmin(event))
+        v = max(v, float(event[last]))
+        while pending and psis[pending[0]] ** 2 < v * v / A + s2:
+            i = pending.pop(0)
+            x = np.zeros(n)
+            x[held] = a / A + d / math.sqrt(A * (psis[i] * psis[i] - s2))
+            results[i] = _result(mu, cov, psis[i], x, faces, True)
+        if not pending:
+            return results
+        if faces == _MAX_ITER:
             break
-        held[j] = True
-    gw = _gradient(mu, cov, psi_val, w)
-    return OptimizationResult(
-        weights=w,
-        psi=psi_val,
-        risk=_objective(mu, cov, psi_val, w),
-        expected_return=float(mu @ w),
-        variance=float(w @ cov @ w),
-        iterations=iters,
-        converged=converged,
-        kkt_residual=_kkt_residual(gw, w),
-    )
+        held[last] = not held[last]
+    # capped: every psi left gets the path point where the sweep stopped
+    x = np.zeros(n)
+    if v > 0.0:
+        x[held] = np.maximum(a / A + d / v, 0.0)
+    else:
+        x[start] = 1.0
+    for i in pending:
+        results[i] = _result(mu, cov, psis[i], x, faces, False)
+    return results
 
 
 def optimize(p: PortfolioProblem) -> OptimizationResult:
     """Minimize the risk objective over the long-only simplex.
 
-    On hitting the iteration cap the last iterate (always feasible) is
-    returned with converged=False; the caller decides how to treat it.
+    A sweep that hits the face cap returns the path point it reached
+    (always feasible) with converged=False; the caller decides how to
+    treat it.
     """
-    return _minimize(p.mu, p.cov, p.psi())
+    return _sweep(p.mu, p.cov, [p.psi()])[0]
 
 
 def default_x_grid() -> list[float]:
@@ -258,24 +231,18 @@ def default_x_grid() -> list[float]:
 
 
 def frontier(p: PortfolioProblem, x_grid=None) -> list[OptimizationResult]:
-    """One optimization per tail level u = 10^-x along the grid.
+    """The optimum at each tail level u = 10^-x along the grid.
 
-    Only psi changes along the grid, so every point reuses p's validated
-    mu and C, and each solve starts from the previous point's weights;
-    each result carries the psi it was solved at.
+    Only psi changes along the grid, so one sweep over p's validated mu
+    and C serves every point; each result carries the psi it was solved
+    at.
     """
     if x_grid is None:
         x_grid = default_x_grid()
-    psis = [_risk.psi(p.spec, 10.0 ** -x) for x in x_grid]
-    results, w = [], None
-    for psi_val in psis:
-        results.append(_minimize(p.mu, p.cov, psi_val, w))
-        w = results[-1].weights
-    return results
+    return _sweep(p.mu, p.cov, [_risk.psi(p.spec, 10.0 ** -x) for x in x_grid])
 
 
 def min_variance_weights(cov: np.ndarray) -> np.ndarray:
     """Simplex portfolio minimizing w' C w (the psi -> infinity limit)."""
     cov = _checked_cov(cov)
-    mu = np.zeros(cov.shape[0])
-    return _minimize(mu, cov, 1.0).weights
+    return _sweep(np.zeros(cov.shape[0]), cov, [1.0])[0].weights

@@ -10,7 +10,7 @@ comparable like for like.
 import math
 from dataclasses import dataclass
 
-from .special import check_probability, gauss_pdf, gauss_quantile
+from .special import MIN_NORMAL, check_probability, gauss_mills_ratio, gauss_pdf, gauss_quantile
 from .tquantile import t_quantile
 
 __all__ = [
@@ -100,9 +100,13 @@ def psi(spec: RiskSpec, u: float) -> float:
     """Loss multiplier psi(u) for the given distribution/measure pair."""
     check_loss_tail(u)
     if spec.distribution == GAUSSIAN:
+        q = gauss_quantile(u)
         if spec.measure == VAR:
-            return -gauss_quantile(u)
-        return gauss_pdf(gauss_quantile(u)) / u
+            return -q
+        if u < MIN_NORMAL:
+            # phi(q) and u are subnormal; their ratio is 1/M(q) at the root
+            return 1.0 / gauss_mills_ratio(q)
+        return gauss_pdf(q) / u
     nu = spec.nu
     scale = math.sqrt((nu - 2.0) / nu)
     q = t_quantile(u, nu)

@@ -12,11 +12,13 @@ __all__ = [
     "gauss_pdf",
     "gauss_cdf",
     "gauss_quantile",
+    "gauss_mills_ratio",
     "reg_inc_beta",
     "inv_reg_inc_beta",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+MIN_NORMAL = 2.0 ** -1022  # below it a tail probability loses significant bits
 
 # Lentz continued-fraction controls.  The cap is sized so that the worst
 # case within the supported parameter range (a = b = 1e6 at the crossover
@@ -27,7 +29,7 @@ _CF_MAX_ITER = 700
 
 
 class NumericsError(RuntimeError):
-    """Internal numerical failure (iteration cap hit without convergence)."""
+    """Internal numerical failure (no convergence, or a result beyond double range)."""
 
 
 def check_probability(u: float) -> float:
@@ -79,16 +81,34 @@ def _gauss_quantile_estimate(u: float) -> float:
            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
+def gauss_mills_ratio(x: float) -> float:
+    """Phi(x) / phi(x) for x <= -37 (u below the smallest normal double),
+    by Laplace's continued fraction 1/(t + 1/(t + 2/(t + 3/(t + ...)))),
+    t = -x, whose first eight terms reach full precision there."""
+    f = -x
+    for k in range(8, 0, -1):
+        f = k / f - x
+    return 1.0 / f
+
+
 def gauss_quantile(u: float) -> float:
     """Inverse of the standard normal CDF.
 
     Rational-approximation starting value refined by two Halley steps
-    against gauss_cdf; accurate to ~1 ulp over (0,1).
+    against gauss_cdf; accurate to ~1 ulp over (0,1).  For subnormal u,
+    where Phi(x) itself is subnormal, two Newton steps solve
+    log Phi(x) = log u instead, with Phi = phi * gauss_mills_ratio.
     """
     check_probability(u)
     if u == 0.5:
         return 0.0
     x = _gauss_quantile_estimate(u)
+    if u < MIN_NORMAL:
+        log_u = math.log(u)
+        for _ in range(2):
+            m = gauss_mills_ratio(x)
+            x -= (math.log(m / _SQRT_2PI) - 0.5 * x * x - log_u) * m
+        return x
     for _ in range(2):
         err = gauss_cdf(x) - u
         # Halley step: f=Phi(x)-u, f'=phi(x), f''=-x*phi(x)
@@ -217,7 +237,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         fx = reg_inc_beta(x, a, b) - y
         if abs(fx) < best_fx:
             best_x, best_fx = x, abs(fx)
-        if abs(fx) <= 1e-15 * max(y, 1e-10):
+        if abs(fx) <= 1e-15 * y:
             return x
         if fx > 0.0:
             hi = x

@@ -12,7 +12,7 @@ Three quantile routes are provided:
 
 import math
 
-from .special import check_probability, inv_reg_inc_beta, reg_inc_beta
+from .special import NumericsError, check_probability, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "t_pdf",
@@ -76,7 +76,10 @@ def _t_quantile_beta(u: float, nu: float) -> float:
     x = inv_reg_inc_beta(arg, 0.5 * nu, 0.5)
     if u == 0.5:
         return 0.0
-    return math.copysign(math.sqrt(nu * (1.0 / x - 1.0)), u - 0.5)
+    t = math.sqrt(nu * (1.0 / x - 1.0))
+    if not math.isfinite(t):
+        raise NumericsError(f"T quantile overflows at u={u}, nu={nu}")
+    return math.copysign(t, u - 0.5)
 
 
 def t_quantile(u: float, nu: float) -> float:

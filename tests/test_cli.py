@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import pathlib
@@ -184,6 +186,25 @@ class TestProblemFileParsing:
             assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["loss-curves", "--x-to", "inf"], "--x-to"),
+    (["loss-curves", "--x-from=-inf"], "--x-from"),
+    (["loss-curves", "--x-step", "nan"], "--x-step"),
+    (["frontier", GAUSS_FILE, "--x-to", "inf"], "--x-to"),
+    (["frontier", GAUSS_FILE, "--x-step", "nan"], "--x-step"),
+    (["psi-table", "--measure", ","], "--measure"),
+    (["psi-table", "--nu", ","], "--nu"),
+    (["psi-table", "--u", " , "], "--u"),
+    (["loss-curves", "--nu", ","], "--nu"),
+])
+def test_bad_flags_exit_2(capsys, argv, flag):
+    # non-finite grid bounds or step and empty lists name their flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+
+
 class TestOptimize:
     def test_report(self, capsys):
         code, out, _ = run(capsys, "optimize", T3_FILE)
@@ -285,6 +306,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert "error: diverged" in captured.err
+
+    def test_subnormal_tail_levels(self, capsys):
+        # the Gaussian rows hold at u = 1e-320; the T quantile at nu just
+        # above 2 would overflow there, which is a numerics failure
+        code, out, _ = run(capsys, "psi-table", "--u", "1e-320")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["measure"] for r in rows] == ["var", "cvar"]
+        assert 38.26 < float(rows[0]["psi"]) < float(rows[1]["psi"]) < 38.3
+        for measure in ("var", "cvar"):
+            code, out, err = run(capsys, "psi-table", "--nu", "2.0001",
+                                 "--measure", measure, "--u", "1.6e-317")
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_solver_nonconvergence_maps_to_3(self, capsys, monkeypatch):
         from tailrisk import portfolio

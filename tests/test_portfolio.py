@@ -16,7 +16,6 @@ from tailrisk.portfolio import (
     min_variance_weights,
     optimize,
     risk_gradient,
-    risk_objective,
 )
 from tailrisk.risk import CVAR, GAUSSIAN, STUDENT_T, VAR, RiskSpec, psi
 
@@ -40,6 +39,10 @@ def factor_problem(seed, n, cond, spec, u=1e-3):
     return PortfolioProblem(rng.uniform(0.0, 0.12, n), cov, spec, u)
 
 
+def objective(p, w):
+    return -p.mu @ w + p.psi() * np.sqrt(w @ p.cov @ w)
+
+
 def kkt_residual(p, w):
     """Largest violation of the simplex KKT conditions, computed here
     independently of the solver."""
@@ -53,16 +56,32 @@ def kkt_residual(p, w):
 
 @pytest.fixture
 def faces(monkeypatch):
-    """(held assets, result, bounded) of every face solve, in order."""
+    """(held assets, s2) of every face solved, in order."""
     log = []
-    face_optimum = portfolio._face_optimum
+    face = portfolio._face
 
-    def spy(mu, cov, psi_val, held):
-        log.append((np.flatnonzero(held).tolist(), *face_optimum(mu, cov, psi_val, held)))
-        return log[-1][1:]
+    def spy(mu, cov, held):
+        out = face(mu, cov, held)
+        log.append((np.flatnonzero(held).tolist(), out[-1]))
+        return out
 
-    monkeypatch.setattr(portfolio, "_face_optimum", spy)
+    monkeypatch.setattr(portfolio, "_face", spy)
     return log
+
+
+def changes(faces):
+    """The sweep's events, ("join" | "leave", asset), from its faces."""
+    events = []
+    for (before, _), (after, _) in zip(faces, faces[1:]):
+        (asset,) = set(before) ^ set(after)
+        events.append(("join" if asset in after else "leave", asset))
+    return events
+
+
+def face_point(p, held, psi_val):
+    """The unconstrained optimum on the face `held` at psi_val."""
+    a, d, A, _, s2 = portfolio._face(p.mu, p.cov, held)
+    return a / A + d / np.sqrt(A * (psi_val * psi_val - s2))
 
 
 def slsqp_min_variance(cov, min_return=None, mu=None):
@@ -123,27 +142,28 @@ class TestProblemValidation:
 class TestObjectiveAndGradient:
     def test_single_asset(self):
         p = PortfolioProblem([0.01], [[0.0004]], GV, 0.025)
-        assert risk_objective(p, np.array([1.0])) == \
-            pytest.approx(-0.01 + 1.95996 * 0.02, abs=1e-6)
+        assert optimize(p).risk == pytest.approx(-0.01 + 1.95996 * 0.02, abs=1e-6)
         assert risk_gradient(p, np.array([1.0]))[0] == \
             pytest.approx(-0.01 + p.psi() * 0.02, rel=1e-12)
 
     def test_two_asset_identity_cov(self):
         p = PortfolioProblem(np.zeros(2), np.eye(2), GV, 0.025)
         w = np.array([0.5, 0.5])
-        assert risk_objective(p, w) == pytest.approx(p.psi() * np.sqrt(0.5), rel=1e-13)
+        assert optimize(p).risk == pytest.approx(p.psi() * np.sqrt(0.5), rel=1e-13)
         g = risk_gradient(p, w)
         assert g[0] == pytest.approx(g[1], rel=1e-13)
 
     def test_dimension_mismatch(self):
         p = PortfolioProblem(np.zeros(2), np.eye(2), GV, 0.025)
         with pytest.raises(ValueError):
-            risk_objective(p, np.array([1.0]))
+            risk_gradient(p, np.array([1.0]))
 
     def test_infeasible_weights_rejected(self):
         p = PortfolioProblem(np.zeros(2), np.eye(2), GV, 0.025)
         with pytest.raises(ValueError):
-            risk_objective(p, np.array([0.9, 0.3]))
+            risk_gradient(p, np.array([0.9, 0.3]))
+        with pytest.raises(ValueError):
+            risk_gradient(p, np.array([1.1, -0.1]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -183,7 +203,7 @@ class TestOptimize:
         assert res.converged
         assert np.all(res.weights >= 0.0)
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
-        recomputed = risk_objective(t3_cvar_problem, res.weights)
+        recomputed = objective(t3_cvar_problem, res.weights)
         assert abs(recomputed - res.risk) <= 1e-10
 
     def test_against_random_plus_slsqp_oracle(self, t3_cvar_problem):
@@ -216,8 +236,8 @@ class TestOptimize:
                     assert gi >= lam - 1e-6
 
     def test_iteration_cap_reports_nonconvergence(self, t3_cvar_problem, monkeypatch):
-        # one face solve: the single starting asset, after which another
-        # asset still prices in
+        # one face: the single starting asset, whose next event (another
+        # asset joins) lies below the problem's psi
         monkeypatch.setattr(portfolio, "_MAX_ITER", 1)
         res = optimize(t3_cvar_problem)
         assert not res.converged
@@ -247,73 +267,83 @@ class TestOptimize:
         assert kkt_residual(p, res.weights) <= 1e-12
         assert res.kkt_residual <= 1e-12
 
-    def test_face_optimum_with_a_short_weight(self, faces, monkeypatch):
-        # asset 3 is the least volatile, so the solver starts there; assets
-        # 1 and then 2 price in.  Asset 2 is 0.9 correlated with asset 3 and
-        # earns more, so the optimum on all three shorts asset 3: the solver
-        # steps toward it until asset 3 reaches zero, then solves the face
-        # of assets 1 and 2, where symmetry puts the optimum at (1/2, 1/2)
+    def test_face_optimum_with_a_short_weight(self, faces):
+        # assets 1 and 2 earn 0.05 at equal volatility, so the sweep starts
+        # at asset 1 and asset 2 joins at psi = 0 already; on their face
+        # symmetry puts the optimum at (1/2, 1/2).  Asset 3 is 0.9
+        # correlated with asset 2 and earns less, so the optimum on all
+        # three shorts it; the sweep never solves that face, because asset
+        # 3 joins only at v = 30, psi = 30 / sqrt(A) = 4.45
         vol = np.array([0.2, 0.2, 0.15])
         corr = np.array([[1.0, 0.1, 0.5], [0.1, 1.0, 0.9], [0.5, 0.9, 1.0]])
         p = PortfolioProblem([0.05, 0.05, 0.02], corr * np.outer(vol, vol), GV, 0.01)
         res = optimize(p)
-        assert [held for held, _, _ in faces] == [[2], [0, 2], [0, 1, 2], [0, 1]]
-        assert all(bounded for _, _, bounded in faces)
-        target = faces[2][1]
-        assert target[2] < 0.0 < min(target[0], target[1])
-        assert res.converged and res.iterations == 4
+        assert [held for held, _ in faces] == [[0], [0, 1]]
+        assert changes(faces) == [("join", 1)]
+        assert res.converged and res.iterations == 2
         assert res.weights[2] == 0.0
         assert res.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
         assert kkt_residual(p, res.weights) <= 1e-12
-        # the ratio step itself: capped after the third face solve, the
-        # solver has moved from the optimum on assets 1 and 3 toward the
-        # target, stopping where asset 3 reaches zero
-        monkeypatch.setattr(portfolio, "_MAX_ITER", 2)
-        before = optimize(p).weights
-        monkeypatch.setattr(portfolio, "_MAX_ITER", 3)
-        step = optimize(p).weights
-        assert before[1] == 0.0 and before[2] > 0.0
-        t = before[2] / (before[2] - target[2])
-        assert step == pytest.approx(before + t * (target - before), abs=1e-15)
-        assert step[2] == 0.0 and step[0] > 0.0 and step[1] > 0.0
-        assert step.sum() == pytest.approx(1.0, abs=1e-15)
-        assert risk_objective(p, step) < risk_objective(p, before)
+        target = face_point(p, np.ones(3, dtype=bool), p.psi())
+        assert target[2] < 0.0 < min(target[0], target[1])
+        # past psi = 4.45 (u = 1e-6, psi = 4.75) asset 3 is held
+        faces.clear()
+        low, high = frontier(p, [2.0, 6.0])
+        assert changes(faces) == [("join", 1), ("join", 2)]
+        assert np.array_equal(low.weights, res.weights)
+        assert high.weights[2] > 0.0 and high.iterations == 3
+        assert kkt_residual(PortfolioProblem(p.mu, p.cov, GV, 1e-6), high.weights) <= 1e-12
 
-    def test_ratio_step_stops_at_the_first_weight_to_reach_zero(self, faces, monkeypatch):
-        # the fifth face solve of this problem shorts two assets; the step
-        # toward its optimum stops where the first of them reaches zero
+    def test_start_breaks_ties_by_variance(self, faces):
+        # three assets tie on the top return: the sweep starts at the less
+        # volatile of the two at 0.2, the first of them, and at psi = 0
+        # already moves to the minimum-variance mix of the three
+        vol = np.array([0.3, 0.2, 0.2, 0.1])
+        cov = (0.5 + 0.5 * np.eye(4)) * np.outer(vol, vol)
+        p = PortfolioProblem([0.05, 0.05, 0.05, -0.2], cov, GV, 0.1)
+        res = optimize(p)
+        assert faces[0][0] == [1]
+        assert res.converged and res.weights[3] == 0.0
+        assert kkt_residual(p, res.weights) <= 1e-12
+        tied = np.ix_([0, 1, 2], [0, 1, 2])
+        assert res.weights[:3] == pytest.approx(min_variance_weights(cov[tied]), abs=1e-15)
+
+    def test_sweep_joins_and_leaves(self, faces, monkeypatch):
+        # up to this problem's psi, assets 1, 5, 2 and 4 join the start
+        # asset 3 and then 3 and 2 leave again
         p = factor_problem(14, 5, 1e2, GV)
-        monkeypatch.setattr(portfolio, "_MAX_ITER", 5)
-        step = optimize(p).weights
-        held, target, bounded = faces[4]
-        short = np.flatnonzero(target < 0.0)
-        assert bounded and short.size == 2
-        monkeypatch.setattr(portfolio, "_MAX_ITER", 4)
-        before = optimize(p).weights
-        ratios = before[short] / (before[short] - target[short])
-        assert step == pytest.approx(before + ratios.min() * (target - before), abs=1e-15)
-        assert step[short[np.argmin(ratios)]] == 0.0
-        assert step[short[np.argmax(ratios)]] > 0.0
-        assert np.all(step >= 0.0)
-        assert step.sum() == pytest.approx(1.0, abs=1e-15)
+        res = optimize(p)
+        assert [held for held, _ in faces][0] == [2]
+        assert changes(faces) == [("join", 0), ("join", 4), ("join", 1),
+                                  ("join", 3), ("leave", 2), ("leave", 1)]
+        assert res.converged and res.iterations == len(faces) == 7
+        assert np.flatnonzero(res.weights).tolist() == [0, 3, 4]
+        assert kkt_residual(p, res.weights) <= 1e-12
+        # capped at each face, the sweep returns the path point of the next
+        # event: the asset that changes there has weight zero
+        for cap, (_, asset) in enumerate(changes(faces), start=1):
+            monkeypatch.setattr(portfolio, "_MAX_ITER", cap)
+            capped = optimize(p)
+            assert not capped.converged and capped.iterations == cap
+            assert 0.0 <= capped.weights[asset] <= 1e-15
+            assert np.all(capped.weights >= 0.0)
+            assert capped.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_unbounded_face_takes_the_ray(self, faces):
+    def test_every_face_has_a_bounded_optimum(self, faces):
         # one factor with loadings (-1, 0.5, 2) and little idiosyncratic
         # risk: long-short mixes of the three assets earn far more than
         # psi = 0.126 (Gaussian VaR at u = 0.45) charges for their risk, so
-        # the face of all three has no optimum.  The solver moves along
-        # the ray until asset 2 reaches zero, then solves assets 1 and 3.
+        # the face of all three has no optimum (psi^2 < s2).  The sweep
+        # never meets it: the path point lies on the hyperbola of every face
+        # it solves, so psi^2 > s2 there
         beta = np.array([-1.0, 0.5, 2.0])
         cov = 0.04 * np.outer(beta, beta) + 0.0004 * np.eye(3)
         p = PortfolioProblem([0.02, 0.02, 0.05], cov, GV, 0.45)
         res = optimize(p)
-        assert [held for held, _, _ in faces] == [[1], [0, 1], [0, 1, 2], [0, 2]]
-        assert [bounded for _, _, bounded in faces] == [True, True, False, True]
-        ray = faces[2][1]
-        assert abs(ray.sum()) <= 1e-12 * np.max(np.abs(ray))
-        # the objective's slope along the ray at infinity is not positive
-        assert -p.mu @ ray + p.psi() * np.sqrt(ray @ cov @ ray) <= 0.0
-        assert ray[1] < 0.0
+        assert [held for held, _ in faces] == [[2], [0, 2]]
+        assert all(p.psi() ** 2 > s2 for _, s2 in faces)
+        *_, s2 = portfolio._face(p.mu, cov, np.ones(3, dtype=bool))
+        assert p.psi() ** 2 < s2
         assert res.converged
         assert res.weights[1] == 0.0
         assert kkt_residual(p, res.weights) <= 1e-12
@@ -348,23 +378,32 @@ class TestOptimize:
             assert kkt_residual(p, res.weights) <= 1e-12
 
     def test_face_optimum_closed_form(self):
-        # mu = 0, psi = 1: the minimum-variance weights C^-1 1 / 1'C^-1 1
+        # mu = 0: the minimum-variance weights C^-1 1 / 1'C^-1 1 and no
+        # asymptote (d = 0, s2 = 0)
         cov = three_asset_cov()
         held = np.ones(3, dtype=bool)
-        w, bounded = portfolio._face_optimum(np.zeros(3), cov, 1.0, held)
-        a = np.linalg.solve(cov, np.ones(3))
-        assert bounded
-        assert w == pytest.approx(a / a.sum(), abs=1e-15)
-        w, bounded = portfolio._face_optimum(np.array([0.01]), np.array([[0.04]]), 2.0,
-                                             np.ones(1, dtype=bool))
-        assert bounded and w == pytest.approx([1.0])
+        a, d, A, m0, s2 = portfolio._face(np.zeros(3), cov, held)
+        w = np.linalg.solve(cov, np.ones(3))
+        assert a / A == pytest.approx(w / w.sum(), abs=1e-15)
+        assert not d.any() and m0 == 0.0 and s2 == 0.0
+        a, d, A, m0, s2 = portfolio._face(np.array([0.01]), np.array([[0.04]]),
+                                          np.ones(1, dtype=bool))
+        assert a / A == pytest.approx([1.0]) and not d.any() and s2 == 0.0
+        # with returns: the tangency point sums to one and the gradient is
+        # the same on every asset, the KKT condition without sign bounds
+        p = PortfolioProblem(THREE_ASSET_MU, cov, GV, 0.025)
+        w = face_point(p, held, 2.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        g = -p.mu + 2.0 * cov @ w / np.sqrt(w @ cov @ w)
+        assert np.ptp(g) <= 1e-15
 
 
 @st.composite
-def long_only_problems(draw):
+def long_only_problems(draw, tied=False):
     """Random factor-model problems of 1-12 assets.  A small idiosyncratic
     share makes assets nearly collinear, so that at low psi (down to 0.126,
-    Gaussian VaR at u = 0.45) some faces have no optimum."""
+    Gaussian VaR at u = 0.45) some faces have no optimum.  With `tied`, the
+    returns are rounded to two decimals or all equal."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     idio = draw(st.floats(1e-2, 1.0))
@@ -375,7 +414,10 @@ def long_only_problems(draw):
     d = np.sqrt(np.diag(f))
     vol = rng.uniform(0.05, 0.4, n)
     cov = f / np.outer(d, d) * np.outer(vol, vol)
-    return PortfolioProblem(rng.uniform(-0.05, 0.15, n), (cov + cov.T) / 2.0, spec, u)
+    mu = rng.uniform(-0.05, 0.15, n)
+    if tied:
+        mu = np.round(mu, 2) if draw(st.booleans()) else np.full(n, mu[0])
+    return PortfolioProblem(mu, (cov + cov.T) / 2.0, spec, u)
 
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -393,11 +435,20 @@ class TestSolverProperties:
         assert res.kkt_residual <= 1e-12
 
     @PROPERTY_SETTINGS
+    @given(long_only_problems(tied=True))
+    def test_tied_returns_converge_to_a_kkt_point(self, p):
+        # equal returns tie the start and make events coincide at psi = 0
+        res = optimize(p)
+        assert res.converged
+        assert np.all(res.weights >= 0.0)
+        assert res.weights.sum() == pytest.approx(1.0, abs=1e-13)
+        assert kkt_residual(p, res.weights) <= 1e-12
+
+    @PROPERTY_SETTINGS
     @given(long_only_problems(), st.integers(1, 12))
     def test_every_iterate_is_feasible(self, p, cap):
-        # stopped after `cap` face solves, the solver returns its current
-        # iterate: after a ratio step, a ray step or a jump it is on the
-        # simplex
+        # stopped after `cap` faces, the sweep returns the path point it
+        # reached, which is on the simplex
         saved = portfolio._MAX_ITER
         portfolio._MAX_ITER = cap
         try:
@@ -451,22 +502,32 @@ class TestFrontier:
                      5, id="factor60"),
     ])
     def test_points_equal_single_problems(self, p, grid, held_sets, faces):
-        # each point starts from the previous point's weights, as they are:
-        # its first face solve holds exactly the previous point's assets.
-        # A cold solve ends on the same face, so the weights match bit for bit
+        # the frontier is one sweep up to the largest psi, and each cold
+        # solve sweeps the same path up to its own psi, so the weights match
+        # bit for bit and the last point has solved every face of the sweep
         results = frontier(p, grid)
-        starts = np.cumsum([r.iterations for r in results[:-1]])
-        assert [faces[s][0] for s in starts] == \
-            [np.flatnonzero(r.weights).tolist() for r in results[:-1]]
+        sweep = len(faces)
         cold = [optimize(PortfolioProblem(p.mu, p.cov, p.spec, 10.0 ** -x)) for x in grid]
         for x, res, single in zip(grid, results, cold, strict=True):
             assert np.array_equal(res.weights, single.weights)
             assert res.psi == single.psi == psi(p.spec, 10.0 ** -x)
+            assert res.iterations == single.iterations
             assert res.converged
+        assert results[-1].iterations == sweep
         if held_sets is not None:
             assert len({tuple(np.flatnonzero(r.weights)) for r in results}) == held_sets
-            # the warm starts save face solves
-            assert sum(r.iterations for r in results) < sum(r.iterations for r in cold)
+            assert sweep < sum(r.iterations for r in cold)
+
+    def test_grid_order_kept(self):
+        p = factor_problem(4, 60, 1e3, T5_CVAR)
+        grid = [4.0, 1.0, 5.0, 2.5, 1.0]
+        results = frontier(p, grid)
+        for x, res in zip(grid, results, strict=True):
+            assert res.psi == psi(p.spec, 10.0 ** -x)
+            assert np.array_equal(res.weights,
+                                  optimize(PortfolioProblem(p.mu, p.cov, p.spec,
+                                                            10.0 ** -x)).weights)
+        assert frontier(p, []) == []
 
     def test_invalid_x_rejected(self, gauss_var_problem):
         with pytest.raises(ValueError):
@@ -509,6 +570,19 @@ class TestMinVariance:
     def test_invalid_covariance_rejected(self, cov):
         with pytest.raises(ValueError):
             min_variance_weights(cov)
+
+    @PROPERTY_SETTINGS
+    @given(long_only_problems())
+    def test_kkt_point(self, p):
+        # mu = 0 makes every event fall at psi = 0
+        w = min_variance_weights(p.cov)
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+        cw = p.cov @ w
+        lam = cw @ w
+        held = w > 1e-8
+        assert np.max(np.abs(cw[held] - lam)) <= 1e-12 * lam
+        assert np.min(cw[~held] - lam, initial=0.0) >= -1e-12 * lam
 
     def test_three_asset_vs_oracle(self):
         cov = three_asset_cov()

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailrisk.risk import (
     CVAR,
@@ -16,7 +19,8 @@ from tailrisk.risk import (
     total_kurtosis,
     value_at_risk,
 )
-from tailrisk.special import gauss_pdf, gauss_quantile
+from tailrisk.special import NumericsError, gauss_pdf, gauss_quantile
+from tailrisk.tquantile import t_quantile
 
 
 def gauss(measure):
@@ -92,6 +96,75 @@ class TestPsi:
     def test_low_nu_var_decreases(self):
         # fat tails push the 2.5% quantile *down*: 1.29 < 1.96
         assert psi(student(VAR, 2.25), 0.025) < psi(student(VAR, 4.0), 0.025)
+
+
+def t_reference(u, nu):
+    """(quantile, psi VaR, psi CVaR) of the unit-variance T at 50 digits:
+    the root of log I_x(nu/2, 1/2) = log 2u in log x, and the closed-form
+    tail integral E[T; T < q] = -(nu + q^2) / (nu - 1) * h(q)."""
+    with mp.workdps(50):
+        uu, v, half = mp.mpf(u), mp.mpf(nu), mp.mpf(1) / 2
+        a = v / 2
+        z0 = (mp.log(2 * uu) + mp.log(a) + mp.log(mp.beta(a, half))) / a
+        z = mp.findroot(lambda z: mp.log(mp.betainc(a, half, 0, mp.exp(z), regularized=True))
+                        - mp.log(2 * uu), z0)
+        q = -mp.sqrt(v * (1 / mp.exp(z) - 1))
+        density = mp.exp(mp.loggamma((v + 1) / 2) - mp.loggamma(v / 2)
+                         - mp.log(v * mp.pi) / 2 - (v + 1) / 2 * mp.log1p(q * q / v))
+        scale = mp.sqrt((v - 2) / v)
+        return q, -scale * q, scale * (v + q * q) / (v - 1) * density / uu
+
+
+def gauss_reference(u):
+    """(psi VaR, psi CVaR) of the Gaussian at 50 digits, solved in log space
+    so that subnormal u keeps its exact value."""
+    with mp.workdps(50):
+        uu = mp.mpf(u)
+        q = mp.findroot(lambda x: mp.log(mp.ncdf(x)) - mp.log(uu), mp.mpf(-38))
+        return -q, mp.npdf(q) / uu
+
+
+def rel_err(x, ref):
+    return float(abs(x / ref - 1))
+
+
+class TestDeepTail:
+    @pytest.mark.parametrize("nu", [2.25, 3.0, 5.0, 11.0, 40.0, 1e3, 1e4])
+    def test_t_against_mpmath(self, nu):
+        # the inverse beta stops on a relative residual at every y, so its
+        # power-law start is refined however small y is.  CVaR takes the
+        # quantile through k_function, whose exp of terms of size
+        # nu log nu and (nu - 1) log|q| costs up to 8e-12 at nu = 1e4
+        for u in (1e-15, 1e-20, 1e-50, 1e-100, 1e-300):
+            q, var, cvar = t_reference(u, nu)
+            assert rel_err(t_quantile(u, nu), q) <= 1e-13
+            assert rel_err(psi(student(VAR, nu), u), var) <= 1e-13
+            assert rel_err(psi(student(CVAR, nu), u), cvar) <= 1e-11
+
+    @pytest.mark.parametrize("u", [1e-310, 1e-315, 1e-320, 5e-324])
+    def test_gaussian_subnormal_u(self, u):
+        var, cvar = gauss_reference(u)
+        assert rel_err(gauss_quantile(u), -var) <= 1e-15
+        assert rel_err(psi(gauss(VAR), u), var) <= 1e-15
+        assert rel_err(psi(gauss(CVAR), u), cvar) <= 5e-13
+
+    def test_t_quantile_overflow_raises(self):
+        # nu just above 2 at a subnormal u: nu (1/x - 1) overflows
+        with pytest.raises(NumericsError):
+            t_quantile(1.6e-317, 2.0001)
+        for measure in (VAR, CVAR):
+            with pytest.raises(NumericsError):
+                psi(student(measure, 2.0001), 1.6e-317)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.none(), st.floats(0.32, 5.0)), st.sampled_from([VAR, CVAR]),
+           st.floats(0.31, 300.0), st.floats(-7.0, -1.0))
+    def test_psi_increases_as_u_falls(self, log_nu, measure, x, log_gap):
+        # tail levels down to 1e-300 and apart by factors 1 + 1e-7 .. 1.1;
+        # nu from 2.09 to 1e5
+        spec = gauss(measure) if log_nu is None else student(measure, 10.0 ** log_nu)
+        u = 10.0 ** -x
+        assert psi(spec, u / (1.0 + 10.0 ** log_gap)) > psi(spec, u)
 
 
 class TestKFunction:
