@@ -10,7 +10,15 @@ comparable like for like.
 import math
 from dataclasses import dataclass
 
-from .special import MIN_NORMAL, check_probability, gauss_mills_ratio, gauss_pdf, gauss_quantile
+from .special import (
+    MIN_NORMAL,
+    check_probability,
+    gauss_mills_ratio,
+    gauss_pdf,
+    gauss_quantile,
+    inc_beta_mills,
+    log_beta,
+)
 from .tquantile import t_quantile
 
 __all__ = [
@@ -81,19 +89,32 @@ def check_loss_tail(u: float) -> float:
     return u
 
 
+# Below this tail level T-CVaR psi takes the beta Mills ratio instead of
+# exp(log k): there log k < -40, whose rounding alone costs ~1e-14.
+_K_MIN_U = 1e-20
+
+
 def k_function(t: float, nu: float) -> float:
     """Tail-integral kernel for the T CVaR.
 
     k(t,nu) = nu^(nu/2) Gamma((nu-1)/2) (nu+t^2)^((1-nu)/2)
               / (2 sqrt(pi) Gamma(nu/2)),
-    computed in log space since nu^(nu/2) overflows near nu ~ 300.
+    computed in log space since nu^(nu/2) overflows near nu ~ 300.  Above
+    nu = 11 the log is taken as log(nu+t^2)/2 - nu log1p(t^2/nu)/2
+    + log B((nu-1)/2, 1/2) - log 2 pi, where no nu log nu terms cancel
+    (they cost 1e-9 at nu = 1e6); up to 11 the golden CSVs pin the lgamma
+    form.
     """
     if not (1.0 < nu < math.inf):
         raise ValueError(f"k_function requires a finite nu > 1, got {nu}")
-    log_k = 0.5 * nu * math.log(nu) + math.lgamma(0.5 * (nu - 1.0)) \
-        + 0.5 * (1.0 - nu) * math.log(nu + t * t) \
-        - math.log(2.0) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * nu)
-    return math.exp(log_k)
+    if nu <= 11.0:
+        log_k = 0.5 * nu * math.log(nu) + math.lgamma(0.5 * (nu - 1.0)) \
+            + 0.5 * (1.0 - nu) * math.log(nu + t * t) \
+            - math.log(2.0) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * nu)
+        return math.exp(log_k)
+    t2 = t * t
+    return math.exp(0.5 * math.log(nu + t2) - 0.5 * nu * math.log1p(t2 / nu)
+                    + log_beta(0.5 * (nu - 1.0), 0.5) - math.log(2.0 * math.pi))
 
 
 def psi(spec: RiskSpec, u: float) -> float:
@@ -112,7 +133,16 @@ def psi(spec: RiskSpec, u: float) -> float:
     q = t_quantile(u, nu)
     if spec.measure == VAR:
         return -scale * q
-    return scale * k_function(q, nu) / u
+    if u >= _K_MIN_U:
+        return scale * k_function(q, nu) / u
+    # deep tail: k(q)/u = (nu + q^2)/(nu - 1) h(q)/F(q) at the root, and
+    # h/F = nu/(|q| R) with R the Mills ratio of I_x(nu/2, 1/2).  Unlike
+    # exp(log k) it carries no exponent of the tail's size (k ~ e^-550 at
+    # u = 1e-300), and a rounded q moves it by q's own rounding, not by up
+    # to q^2 times that
+    q2 = q * q
+    mills = inc_beta_mills(nu / (nu + q2), 1.0 / (1.0 + nu / q2), 0.5 * nu, 0.5)
+    return scale * (nu + q2) / ((1.0 - 1.0 / nu) * -q * mills)
 
 
 def value_at_risk(m: MomentParams, spec: RiskSpec, u: float) -> float:

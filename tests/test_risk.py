@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from tailrisk.risk import (
     CVAR,
@@ -100,17 +101,23 @@ class TestPsi:
 
 def t_reference(u, nu):
     """(quantile, psi VaR, psi CVaR) of the unit-variance T at 50 digits:
-    the root of log I_x(nu/2, 1/2) = log 2u in log x, and the closed-form
+    Newton on log P(T < t) = log u in t from scipy's double-precision root
+    (or, where that overflows, the power-law tail), and the closed-form
     tail integral E[T; T < q] = -(nu + q^2) / (nu - 1) * h(q)."""
     with mp.workdps(50):
         uu, v, half = mp.mpf(u), mp.mpf(nu), mp.mpf(1) / 2
-        a = v / 2
-        z0 = (mp.log(2 * uu) + mp.log(a) + mp.log(mp.beta(a, half))) / a
-        z = mp.findroot(lambda z: mp.log(mp.betainc(a, half, 0, mp.exp(z), regularized=True))
-                        - mp.log(2 * uu), z0)
-        q = -mp.sqrt(v * (1 / mp.exp(z) - 1))
-        density = mp.exp(mp.loggamma((v + 1) / 2) - mp.loggamma(v / 2)
-                         - mp.log(v * mp.pi) / 2 - (v + 1) / 2 * mp.log1p(q * q / v))
+        log_norm = -mp.log(mp.beta(v / 2, half)) - mp.log(v) / 2
+        start = float(stats.t.ppf(u, nu))
+        q = mp.mpf(start) if math.isfinite(start) else \
+            -mp.sqrt(v) * mp.exp(-(mp.log(v * uu) + mp.log(mp.beta(v / 2, half))) / v)
+        for _ in range(50):
+            cdf = mp.betainc(v / 2, half, 0, v / (v + q * q), regularized=True) / 2
+            density = mp.exp(log_norm - (v + 1) / 2 * mp.log1p(q * q / v))
+            step = (mp.log(cdf) - mp.log(uu)) * cdf / density
+            q -= step
+            if abs(step) < mp.mpf(10) ** -40 * abs(q):
+                break
+        density = mp.exp(log_norm - (v + 1) / 2 * mp.log1p(q * q / v))
         scale = mp.sqrt((v - 2) / v)
         return q, -scale * q, scale * (v + q * q) / (v - 1) * density / uu
 
@@ -129,17 +136,30 @@ def rel_err(x, ref):
 
 
 class TestDeepTail:
-    @pytest.mark.parametrize("nu", [2.25, 3.0, 5.0, 11.0, 40.0, 1e3, 1e4])
+    @pytest.mark.parametrize("nu", [2.25, 3.0, 5.0, 11.0, 12.0, 40.0, 400.0, 1e3, 1e4,
+                                    1e6, 1e8])
     def test_t_against_mpmath(self, nu):
-        # the inverse beta stops on a relative residual at every y, so its
-        # power-law start is refined however small y is.  CVaR takes the
-        # quantile through k_function, whose exp of terms of size
-        # nu log nu and (nu - 1) log|q| costs up to 8e-12 at nu = 1e4
-        for u in (1e-15, 1e-20, 1e-50, 1e-100, 1e-300):
+        # nu <= 11 inverts the incomplete beta, whose stop test is relative
+        # at every y; above, Cornish-Fisher plus Halley steps in t.  CVaR
+        # below u = 1e-20 goes through the beta Mills ratio, with no
+        # exponent of the tail's size; exp(log k) reads 2e-13 at nu = 5 and
+        # 4e-13 at nu = 1e4, u = 1e-300
+        for u in (0.3, 0.025, 1e-3, 1e-6, 1e-12, 1e-15, 1e-19, 1e-21, 1e-50, 1e-100,
+                  1e-300):
             q, var, cvar = t_reference(u, nu)
             assert rel_err(t_quantile(u, nu), q) <= 1e-13
             assert rel_err(psi(student(VAR, nu), u), var) <= 1e-13
-            assert rel_err(psi(student(CVAR, nu), u), cvar) <= 1e-11
+            assert rel_err(psi(student(CVAR, nu), u), cvar) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [1e20, 1e300])
+    def test_huge_nu_meets_the_gaussian_limit(self, nu):
+        # the series' fifth term underflows instead of nu**5 overflowing, the
+        # beta split is tested on y (its bound on x rounds to 1), and the
+        # CVaR ratio does not form nu * (nu + q^2)
+        for u in (0.3, 1e-12, 1e-300):
+            var, cvar = gauss_reference(u)
+            assert rel_err(psi(student(VAR, nu), u), var) <= 1e-15
+            assert rel_err(psi(student(CVAR, nu), u), cvar) <= 1e-13
 
     @pytest.mark.parametrize("u", [1e-310, 1e-315, 1e-320, 5e-324])
     def test_gaussian_subnormal_u(self, u):
@@ -157,11 +177,11 @@ class TestDeepTail:
                 psi(student(measure, 2.0001), 1.6e-317)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.one_of(st.none(), st.floats(0.32, 5.0)), st.sampled_from([VAR, CVAR]),
-           st.floats(0.31, 300.0), st.floats(-7.0, -1.0))
+    @given(st.one_of(st.none(), st.floats(0.32, 8.0)), st.sampled_from([VAR, CVAR]),
+           st.floats(0.31, 300.0), st.floats(-9.0, -1.0))
     def test_psi_increases_as_u_falls(self, log_nu, measure, x, log_gap):
-        # tail levels down to 1e-300 and apart by factors 1 + 1e-7 .. 1.1;
-        # nu from 2.09 to 1e5
+        # tail levels down to 1e-300 and apart by factors 1 + 1e-9 .. 1.1;
+        # nu from 2.09 to 1e8
         spec = gauss(measure) if log_nu is None else student(measure, 10.0 ** log_nu)
         u = 10.0 ** -x
         assert psi(spec, u / (1.0 + 10.0 ** log_gap)) > psi(spec, u)
@@ -184,6 +204,17 @@ class TestKFunction:
 
     def test_no_overflow_large_nu(self):
         assert k_function(0.0, 1000.0) > 0.0
+
+    @pytest.mark.parametrize("nu", [12.0, 1e3, 1e4, 1e6, 1e8])
+    def test_large_nu_against_mpmath(self, nu):
+        # log k = log(nu + t^2)/2 - nu log1p(t^2/nu)/2 + log B((nu-1)/2, 1/2)
+        # - log 2 pi: no nu log nu terms left to cancel
+        for t in (0.0, -0.5, -2.0, -7.0, -20.0):
+            with mp.workdps(50):
+                v, tt = mp.mpf(nu), mp.mpf(t)
+                ref = mp.sqrt(v + tt * tt) * (1 + tt * tt / v) ** (-v / 2) \
+                    * mp.beta((v - 1) / 2, mp.mpf(1) / 2) / (2 * mp.pi)
+            assert rel_err(k_function(t, nu), ref) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(ValueError):

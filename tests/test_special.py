@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,8 +8,11 @@ from tailrisk.special import (
     gauss_cdf,
     gauss_pdf,
     gauss_quantile,
+    inc_beta_mills,
     inv_reg_inc_beta,
+    log_beta,
     reg_inc_beta,
+    reg_inc_beta_pair,
 )
 
 BETA_AB = (0.25, 0.5, 1.0, 2.0, 5.0, 50.0)
@@ -128,3 +132,79 @@ class TestInvRegIncBeta:
             x_c = inv_reg_inc_beta(y, b, a)
             assert inv_reg_inc_beta(1.0 - y, a, b) == pytest.approx(
                 1.0 - x_c, abs=1e-15)
+
+
+def beta_reference(x, a, b):
+    """(I_x(a,b), 1 - I_x(a,b), x^a (1-x)^b / (a B(a,b))) at 40 digits."""
+    with mp.workdps(40):
+        x, a, b = mp.mpf(x), mp.mpf(a), mp.mpf(b)
+        i = mp.betainc(a, b, 0, x, regularized=True)
+        return i, 1 - i, x ** a * (1 - x) ** b / (a * mp.beta(a, b))
+
+
+def rel_err(x, ref):
+    return float(abs(mp.mpf(x) / ref - 1))
+
+
+class TestLogBeta:
+    @pytest.mark.parametrize("a", [0.5, 2.25, 5.5, 19.5, 20.0, 75.0, 5e3, 5e7])
+    def test_against_mpmath(self, a):
+        # the lgamma difference loses a ln a * eps (4e-14 at a = 75); from
+        # a = 20 up the log1p form keeps every term small
+        for b in (0.5, 1.0, 3.5):
+            with mp.workdps(40):
+                ref = mp.log(mp.beta(mp.mpf(a), mp.mpf(b)))
+            assert abs(log_beta(a, b) - float(ref)) <= 4e-15 * max(1.0, abs(float(ref)))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            log_beta(0.0, 1.0)
+
+
+class TestRegIncBetaPair:
+    @pytest.mark.parametrize("a, b", [(6.0, 0.5), (200.0, 0.5), (5e3, 0.5), (5e7, 0.5),
+                                      (0.5, 40.0), (2.0, 3.0), (50.0, 50.0)])
+    def test_against_mpmath(self, a, b):
+        # y = 1 - x is given exactly (x = 1 - y is then rounded); near x = 1
+        # with a large the continued fraction takes lambda = (a+b) y - b
+        for y in (1e-9, 1e-6, 3e-5, 1e-3, 0.02, 0.3, 0.7, 0.999):
+            x = 1.0 - y
+            if a * y > 700.0:  # I_x below 1e-300, beyond mpmath's series
+                continue
+            w, w1 = reg_inc_beta_pair(x, y, a, b)
+            with mp.workdps(40):
+                i, ic, _ = beta_reference(mp.mpf(1) - mp.mpf(y), a, b)
+            for got, ref in ((w, i), (w1, ic)):
+                if ref > 1e-300:
+                    assert rel_err(got, ref) <= 1e-13
+
+    def test_matches_reg_inc_beta(self):
+        for x, a, b in [(0.3, 2.0, 3.0), (0.9, 0.5, 0.5), (0.01, 5.5, 0.5)]:
+            w, w1 = reg_inc_beta_pair(x, 1.0 - x, a, b)
+            assert w == pytest.approx(reg_inc_beta(x, a, b), rel=1e-14)
+            assert w + w1 == pytest.approx(1.0, abs=1e-15)
+
+    def test_ends(self):
+        assert reg_inc_beta_pair(0.0, 1.0, 2.0, 3.0) == (0.0, 1.0)
+        assert reg_inc_beta_pair(1.0, 0.0, 2.0, 3.0) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(0.3, 0.3), (-0.1, 1.1), (0.5, math.nan)])
+    def test_domain(self, x, y):
+        with pytest.raises(ValueError):
+            reg_inc_beta_pair(x, y, 2.0, 3.0)
+        with pytest.raises(ValueError):
+            inc_beta_mills(x, y, 2.0, 3.0)
+
+
+class TestIncBetaMills:
+    @pytest.mark.parametrize("a", [6.0, 200.0, 5e3, 5e7])
+    def test_against_mpmath(self, a):
+        # both sides of the split; deep in the tail I_x and its leading term
+        # are ~1e-300 apiece, their ratio O(1)
+        for x in (1e-12, 1e-3, 0.3, 0.9, 1.0 - 3e-5, 1.0 - 1e-7):
+            if a * (1.0 - x) > 700.0:
+                continue
+            with mp.workdps(40):
+                i, _, lead = beta_reference(x, a, 0.5)
+            if lead > 1e-300:
+                assert rel_err(inc_beta_mills(x, 1.0 - x, a, 0.5), i / lead) <= 1e-13

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import tailrisk.tquantile as tquantile
 from tailrisk.special import gauss_quantile
 from tailrisk.tquantile import (
     _t_quantile_beta,
@@ -29,6 +31,17 @@ class TestPdf:
         with pytest.raises(ValueError, match="finite"):
             t_pdf(0.0, math.inf)
 
+    @pytest.mark.parametrize("nu", [1e4, 1e6, 1e8])
+    def test_normalizer_against_mpmath(self, nu):
+        # 1 / (sqrt(nu) B(nu/2, 1/2)); an lgamma((nu+1)/2) - lgamma(nu/2)
+        # difference reads 9.4e-12, 5.5e-10 and 1e-8 here
+        for t in (0.0, -1.0, -7.0):
+            with mp.workdps(40):
+                v = mp.mpf(nu)
+                ref = (1 + mp.mpf(t) ** 2 / v) ** (-(v + 1) / 2) \
+                    / (mp.sqrt(v) * mp.beta(v / 2, mp.mpf(1) / 2))
+            assert float(abs(t_pdf(t, nu) / ref - 1)) <= 1e-13
+
 
 class TestCdf:
     def test_values(self):
@@ -39,6 +52,23 @@ class TestCdf:
     def test_infinite_nu_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             t_cdf(-2.0, math.inf)
+
+    @pytest.mark.parametrize("nu", [2.25, 12.0, 400.0, 1e4, 1e6, 1e8])
+    def test_left_tail_against_mpmath(self, nu):
+        # x = nu/(nu + t^2) and its complement are each formed without
+        # cancellation (0.5 (1 - I) with I ~ 1 reads 0.0 at t = -10,
+        # nu = 400).  Where P(T < t) ~ 1e-260 the front factor's exponent of
+        # -600 alone rounds to ~6e-14, so the deep points read up to 1.6e-13
+        # at nu >= 1e4
+        bound = 1e-13 if nu <= 400.0 else 2e-13
+        for t in (-1.5, -2.0, -2.5, -3.0, -4.0, -5.0, -7.0, -10.0, -15.0, -20.0,
+                  -30.0, -34.5, -37.0, -40.0):
+            with mp.workdps(40):
+                v = mp.mpf(nu)
+                ref = mp.betainc(v / 2, mp.mpf(1) / 2, 0, v / (v + mp.mpf(t) ** 2),
+                                 regularized=True) / 2
+            if ref > 1e-300:
+                assert float(abs(t_cdf(t, nu) / ref - 1)) <= bound
 
     @pytest.mark.parametrize("nu", [2.5, 4.0, 8.0])
     def test_pdf_is_cdf_derivative(self, nu):
@@ -94,6 +124,30 @@ class TestQuantile:
         for m in (1, 3, 11, 41, 157, 601, 2310, 8871, 34067, 130856, 502560):
             u = m / 2.0 ** 20
             assert abs(t_quantile(u, nu) + t_quantile(1.0 - u, nu)) <= 1e-12
+
+    def test_large_nu_route_takes_few_beta_evaluations(self, monkeypatch):
+        # Cornish-Fisher start, then Halley steps: no evaluation where the
+        # series' fifth term is below rounding, at most two elsewhere (the
+        # inverse beta takes 13 to 32 at these nu)
+        calls = []
+        real = tquantile.reg_inc_beta_pair
+        monkeypatch.setattr(tquantile, "reg_inc_beta_pair",
+                            lambda *args: calls.append(1) or real(*args))
+        for nu in (11.5, 12.0, 40.0, 400.0, 7000.0, 1e5, 1e8):
+            for u in (0.3, 0.025, 1e-6, 1e-12, 1e-50, 1e-300, 0.7):
+                calls.clear()
+                t_quantile(u, nu)
+                assert len(calls) <= 2
+        calls.clear()
+        t_quantile(1e-6, 1e8)
+        assert not calls
+
+    def test_small_halley_step_ends_at_the_root(self):
+        # a converged step that rounds to nothing ends the loop before the
+        # bracket test, which would bisect it away (6e-7 off here)
+        u = 10.0 ** -11.5
+        assert t_quantile(u, 75.0) == pytest.approx(-8.1448685555356641637, rel=1e-14)
+        assert abs(t_cdf(t_quantile(u, 75.0), 75.0) / u - 1.0) <= 1e-13
 
     def test_gaussian_limit(self):
         nu = 1e6
