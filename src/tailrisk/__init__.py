@@ -17,6 +17,7 @@ from .portfolio import (
     min_variance_weights,
     optimize,
     risk_gradient,
+    sweep,
 )
 from .risk import (
     CVAR,

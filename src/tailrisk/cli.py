@@ -234,23 +234,19 @@ def cmd_optimize(args) -> int:
 def cmd_frontier(args) -> int:
     problem = parse_problem_file(args.problem_file)
     grid = _x_grid(args.x_from, args.x_to, args.x_step)
-    n = problem.n_assets
     header = ["model", "x", "u", "psi", "expected_return", "variance"] \
-        + [f"w{i + 1}" for i in range(n)]
-    rows = []
-    status = 0
-    models = [("problem", problem),
-              ("gaussian-var", replace(problem, spec=RiskSpec(GAUSSIAN, VAR)))]
-    for label, model in models:
-        for x, res in zip(grid, portfolio.frontier(model, grid)):
-            u = 10.0 ** -x
-            rows.append([label, float(x), u, res.psi,
-                         res.expected_return, res.variance,
-                         *[float(w) for w in res.weights]])
-            if not res.converged:
-                status = EXIT_SOLVER
+        + [f"w{i + 1}" for i in range(problem.n_assets)]
+    # both models price the file's (mu, C), so one sweep serves every psi
+    points = [(label, x, psi(spec, 10.0 ** -x))
+              for label, spec in (("problem", problem.spec),
+                                  ("gaussian-var", RiskSpec(GAUSSIAN, VAR)))
+              for x in grid]
+    results = portfolio.sweep(problem, [psi_val for *_, psi_val in points])
+    rows = [[label, float(x), 10.0 ** -x, res.psi, res.expected_return, res.variance,
+             *res.weights.tolist()]
+            for (label, x, _), res in zip(points, results)]
     _emit_rows(header, rows, args.format)
-    return status
+    return 0 if all(res.converged for res in results) else EXIT_SOLVER
 
 
 def cmd_verify(args) -> int:

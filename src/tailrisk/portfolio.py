@@ -3,15 +3,21 @@
 The objective -mu.w + psi(u) * sqrt(w' C w) is convex.  On a set S of held
 assets, with weights summing to one and no sign constraint, its optimum is
 the tangency point of S's mean-sigma hyperbola at slope psi (the two-fund
-theorem): w = a/A + d/v with v = sqrt(A (psi^2 - s2)), from one Cholesky
-solve.  The long-only optimum is thus one piecewise closed-form path in
-psi, the critical line (Markowitz 1956), which the solver sweeps up from
-psi = 0, where the optimum is the asset of highest return.  On each face
-the next event is the v where a held weight falls to zero (the asset
-leaves) or an unheld reduced gradient does (it joins); requested psis
-below it are read off the face.  The path point lies on every face's
-hyperbola, so psi^2 > s2 on each face met and none is unbounded.  A
-result's iteration count is the number of faces solved up to its psi.
+theorem): w = a/A + d/v with v = sqrt(A (psi^2 - s2)), from one LU solve
+with C_S, a principal submatrix of the validated positive-definite C.  The
+long-only optimum is thus one piecewise closed-form path in psi, the
+critical line (Markowitz 1956), which the solver sweeps up from psi = 0,
+where the optimum is the asset of highest return.  On each face the next
+event is the v where a held weight falls to zero (the asset leaves) or an
+unheld reduced gradient does (it joins); requested psis below it are read
+off the face.  The path point lies on every face's hyperbola, so
+psi^2 > s2 on each face met and none is unbounded.  A result's iteration
+count is the number of faces solved up to its psi.
+
+Only psi depends on the risk spec and tail level, so `sweep` serves any
+set of multipliers over one (mu, C) in one pass: `frontier` its grid, and
+the CLI's frontier command the file's spec and the Gaussian-VaR reference
+together.
 """
 
 import math
@@ -27,6 +33,7 @@ __all__ = [
     "OptimizationResult",
     "risk_gradient",
     "optimize",
+    "sweep",
     "frontier",
     "min_variance_weights",
     "default_x_grid",
@@ -120,8 +127,9 @@ class OptimizationResult:
         }
 
 
-def _gradient(mu, cov, psi_val, w):
-    return -mu + psi_val * (cov @ w) / math.sqrt(float(w @ cov @ w))
+def _gradient(mu, psi_val, cw, var):
+    """-mu + psi C w / sqrt(w' C w), from C w and w' C w."""
+    return -mu + psi_val * cw / math.sqrt(var)
 
 
 def risk_gradient(p: PortfolioProblem, w: np.ndarray) -> np.ndarray:
@@ -130,7 +138,8 @@ def risk_gradient(p: PortfolioProblem, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (p.n_assets,) or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
         raise ValueError(f"weights must be {p.n_assets} nonnegative numbers summing to one")
-    return _gradient(p.mu, p.cov, p.psi(), w)
+    cw = p.cov @ w
+    return _gradient(p.mu, p.psi(), cw, float(w @ cw))
 
 
 def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
@@ -141,27 +150,31 @@ def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
 
 
 def _face(mu, cov, held):
-    """(a, d, A, m0, s2) of the held assets S: a = C_S^-1 1, A = 1'a,
-    m0 = 1'b / A for b = C_S^-1 mu_S, d = b - m0 a (the asymptote of S's
-    mean-sigma hyperbola) and s2 = (mu_S - m0)'d (its squared slope).  The
-    optimum on S is a/A + d / sqrt(A (psi^2 - s2)) (Merton 1972).  d is
-    made free of its mean and s2 taken from mu_S - m0, which keeps the
-    sum at one and psi^2 - s2 exact to rounding for nearly equal returns.
+    """(rows, a, d, A, m0, s2) of the held assets S: rows = C[S, :], the
+    held rows, a = C_S^-1 1, A = 1'a, m0 = 1'b / A for b = C_S^-1 mu_S,
+    d = b - m0 a (the asymptote of S's mean-sigma hyperbola) and
+    s2 = (mu_S - m0)'d (its squared slope).  The optimum on S is
+    a/A + d / sqrt(A (psi^2 - s2)) (Merton 1972).  d is made free of its
+    mean and s2 taken from mu_S - m0, which keeps the sum at one and
+    psi^2 - s2 exact to rounding for nearly equal returns.  a and b come
+    from one LU solve: C_S is positive definite as a principal submatrix
+    of C.
     """
-    L = np.linalg.cholesky(cov[held][:, held])
-    rhs = np.column_stack((np.ones(L.shape[0]), mu[held]))
-    a, b = np.linalg.solve(L.T, np.linalg.solve(L, rhs)).T
+    rows = cov[held]
+    mu_s = mu[held]
+    a, b = np.linalg.solve(rows[:, held], np.column_stack((np.ones(mu_s.size), mu_s))).T
     A = float(a.sum())
     m0 = float(b.sum()) / A
     d = b - m0 * a
     d -= d.mean()
-    return a, d, A, m0, float((mu[held] - m0) @ d)
+    return rows, a, d, A, m0, float((mu_s - m0) @ d)
 
 
 def _result(mu, cov, psi_val, w, faces, converged) -> OptimizationResult:
-    ret, var = float(mu @ w), float(w @ cov @ w)
+    cw = cov @ w
+    ret, var = float(mu @ w), float(w @ cw)
     return OptimizationResult(w, psi_val, -ret + psi_val * math.sqrt(var), ret, var, faces,
-                              converged, _kkt_residual(_gradient(mu, cov, psi_val, w), w))
+                              converged, _kkt_residual(_gradient(mu, psi_val, cw, var), w))
 
 
 def _sweep(mu, cov, psis) -> list[OptimizationResult]:
@@ -179,18 +192,17 @@ def _sweep(mu, cov, psis) -> list[OptimizationResult]:
     v, faces = 0.0, 0
     while True:
         faces += 1
-        a, d, A, m0, s2 = _face(mu, cov, held)
+        rows, a, d, A, m0, s2 = _face(mu, cov, held)
         # the v at which each asset changes: a held asset leaves where its
         # weight a_i/A + d_i/v falls to zero, an unheld one joins where its
         # reduced gradient (C_jS a - 1) v/A + C_jS d - mu_j + m0 does.  An
         # event below the current v is due now.  The asset that changed
-        # last sits exactly at its event, so it takes no part.
-        ca, cd = np.vstack((a, d)) @ cov[held]  # C symmetric: C_jS a = a'C_Sj
-        event = np.full(n, np.inf)
-        leave = a < 0.0
-        event[np.flatnonzero(held)[leave]] = -A * d[leave] / a[leave]
-        join = ~held & (ca < 1.0)
-        event[join] = A * (cd[join] - mu[join] + m0) / (1.0 - ca[join])
+        # last sits exactly at its event, so it takes no part.  Entries
+        # the masks drop may divide by zero
+        ca, cd = np.vstack((a, d)) @ rows  # C symmetric: C_jS a = a'C_Sj
+        with np.errstate(divide="ignore", invalid="ignore"):
+            event = np.where(~held & (ca < 1.0), A * (cd - mu + m0) / (1.0 - ca), np.inf)
+            event[held] = np.where(a < 0.0, -A * d / a, np.inf)
         event[last] = np.inf
         last = int(np.argmin(event))
         v = max(v, float(event[last]))
@@ -223,6 +235,22 @@ def optimize(p: PortfolioProblem) -> OptimizationResult:
     treat it.
     """
     return _sweep(p.mu, p.cov, [p.psi()])[0]
+
+
+def sweep(p: PortfolioProblem, psis) -> list[OptimizationResult]:
+    """The optimum at each loss multiplier in psis, in the given order, from
+    one sweep up the critical line of p's validated mu and C (p's spec and
+    tail level play no part).  Each result carries the psi it was solved
+    at.  ValueError unless psis is a non-empty list of positive finite
+    numbers.
+    """
+    psis = [float(x) for x in psis]
+    if not psis:
+        raise ValueError("sweep needs at least one psi")
+    for x in psis:
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"psi must be positive and finite, got {x}")
+    return _sweep(p.mu, p.cov, psis)
 
 
 def default_x_grid() -> list[float]:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .special import (
-    MIN_NORMAL,
     check_probability,
     gauss_mills_ratio,
     gauss_pdf,
@@ -89,8 +88,9 @@ def check_loss_tail(u: float) -> float:
     return u
 
 
-# Below this tail level T-CVaR psi takes the beta Mills ratio instead of
-# exp(log k): there log k < -40, whose rounding alone costs ~1e-14.
+# Below this tail level CVaR psi takes a Mills ratio: the beta one for the T
+# instead of exp(log k), where log k < -40, whose rounding alone costs
+# ~1e-14, and (from this level on) the Gaussian one instead of phi(q)/u.
 _K_MIN_U = 1e-20
 
 
@@ -124,8 +124,10 @@ def psi(spec: RiskSpec, u: float) -> float:
         q = gauss_quantile(u)
         if spec.measure == VAR:
             return -q
-        if u < MIN_NORMAL:
-            # phi(q) and u are subnormal; their ratio is 1/M(q) at the root
+        if u <= _K_MIN_U:
+            # phi(q)/u is 1/M(q) at the root.  The ratio would move by up
+            # to q^2 times q's rounding (1e-13 at u = 1e-300), the Mills
+            # ratio by q's rounding alone, and it holds for subnormal u
             return 1.0 / gauss_mills_ratio(q)
         return gauss_pdf(q) / u
     nu = spec.nu

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from conftest import THREE_ASSET_MU, three_asset_cov
-from tailrisk import portfolio
+from tailrisk import cli, portfolio
 from tailrisk.portfolio import (
     OptimizationResult,
     PortfolioProblem,
@@ -16,9 +19,11 @@ from tailrisk.portfolio import (
     min_variance_weights,
     optimize,
     risk_gradient,
+    sweep,
 )
 from tailrisk.risk import CVAR, GAUSSIAN, STUDENT_T, VAR, RiskSpec, psi
 
+DATA = pathlib.Path(__file__).parent / "data"
 GV = RiskSpec(GAUSSIAN, VAR)
 T5_CVAR = RiskSpec(STUDENT_T, CVAR, 5.0)
 
@@ -80,7 +85,7 @@ def changes(faces):
 
 def face_point(p, held, psi_val):
     """The unconstrained optimum on the face `held` at psi_val."""
-    a, d, A, _, s2 = portfolio._face(p.mu, p.cov, held)
+    _, a, d, A, _, s2 = portfolio._face(p.mu, p.cov, held)
     return a / A + d / np.sqrt(A * (psi_val * psi_val - s2))
 
 
@@ -382,12 +387,12 @@ class TestOptimize:
         # asymptote (d = 0, s2 = 0)
         cov = three_asset_cov()
         held = np.ones(3, dtype=bool)
-        a, d, A, m0, s2 = portfolio._face(np.zeros(3), cov, held)
+        _, a, d, A, m0, s2 = portfolio._face(np.zeros(3), cov, held)
         w = np.linalg.solve(cov, np.ones(3))
         assert a / A == pytest.approx(w / w.sum(), abs=1e-15)
         assert not d.any() and m0 == 0.0 and s2 == 0.0
-        a, d, A, m0, s2 = portfolio._face(np.array([0.01]), np.array([[0.04]]),
-                                          np.ones(1, dtype=bool))
+        _, a, d, A, m0, s2 = portfolio._face(np.array([0.01]), np.array([[0.04]]),
+                                             np.ones(1, dtype=bool))
         assert a / A == pytest.approx([1.0]) and not d.any() and s2 == 0.0
         # with returns: the tangency point sums to one and the gradient is
         # the same on every asset, the KKT condition without sign bounds
@@ -553,6 +558,62 @@ class TestFrontier:
                                        mu=p.mu)
             var_ref = w_ref @ p.cov @ w_ref
             assert abs(res.variance - var_ref) <= 1e-6 * var_ref
+
+
+class TestSweep:
+    @pytest.mark.parametrize("psis", [[], [math.nan], [math.inf], [0.0], [-1.0],
+                                      [1.0, -math.inf], [2.0, 0.0]])
+    def test_invalid_psis_rejected(self, gauss_var_problem, psis):
+        with pytest.raises(ValueError):
+            sweep(gauss_var_problem, psis)
+
+    @PROPERTY_SETTINGS
+    @given(long_only_problems(),
+           st.lists(st.floats(-math.log10(0.45), 6.0), min_size=1, max_size=5), st.data())
+    def test_equals_optimize_at_each_psi(self, p, xs, data):
+        # every tail level twice, in a drawn order: each result is the
+        # cold solve at its psi, bit for bit
+        xs = data.draw(st.permutations(xs + xs))
+        results = sweep(p, [psi(p.spec, 10.0 ** -x) for x in xs])
+        for x, res in zip(xs, results, strict=True):
+            single = optimize(PortfolioProblem(p.mu, p.cov, p.spec, 10.0 ** -x))
+            assert res.psi == single.psi
+            assert np.array_equal(res.weights, single.weights)
+            assert res.iterations == single.iterations
+
+    @pytest.mark.parametrize("source", ["three_asset_t3.txt", "two_asset_gauss.txt",
+                                        "factor"])
+    def test_cli_frontier_is_one_sweep(self, source, faces, capsys, tmp_path):
+        # both models' points come from one sweep, which ends at the larger
+        # model's top psi: no face is solved twice
+        if source == "factor":
+            p = factor_problem(4, 60, 1e3, T5_CVAR)
+            path = tmp_path / "factor.txt"
+            path.write_text("\n".join(
+                ["[returns]", " ".join(map(repr, p.mu.tolist())), "[covariance]",
+                 *(" ".join(map(repr, row)) for row in p.cov.tolist()),
+                 "[spec]", "distribution = student-t", "nu = 5", "measure = cvar",
+                 f"u = {p.u!r}"]))
+        else:
+            path = DATA / source
+        assert cli.main(["frontier", str(path)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        shared = len(faces)
+        p = cli.parse_problem_file(str(path))
+        models = {"problem": p.spec, "gaussian-var": GV}
+        single = []
+        for spec in models.values():
+            faces.clear()
+            frontier(PortfolioProblem(p.mu, p.cov, spec, p.u))
+            single.append(len(faces))
+        assert shared == max(single)
+        assert [row["model"] for row in rows] == [m for m in models for _ in range(9)]
+        for row in rows:
+            x = float(row["x"])
+            cold = optimize(PortfolioProblem(p.mu, p.cov, models[row["model"]], 10.0 ** -x))
+            w = np.array([float(row[f"w{i + 1}"]) for i in range(p.n_assets)])
+            assert np.array_equal(w, cold.weights)
+            assert float(row["psi"]) == cold.psi
 
 
 class TestMinVariance:

@@ -168,6 +168,14 @@ class TestDeepTail:
         assert rel_err(psi(gauss(VAR), u), var) <= 1e-15
         assert rel_err(psi(gauss(CVAR), u), cvar) <= 5e-13
 
+    @pytest.mark.parametrize("u", [1e-20, 1e-50, 1e-100, 1e-200, 1e-300, 1e-307])
+    def test_gaussian_cvar_deep_tail(self, u):
+        # from u = 1e-20 on, 1/M(q) with the Gaussian Mills ratio: phi(q)/u
+        # moved by up to q^2 times q's rounding, 2.8e-14 at u = 1e-50 and
+        # 1.0e-13 at 1e-300
+        _, cvar = gauss_reference(u)
+        assert rel_err(psi(gauss(CVAR), u), cvar) <= 1e-15
+
     def test_t_quantile_overflow_raises(self):
         # nu just above 2 at a subnormal u: nu (1/x - 1) overflows
         with pytest.raises(NumericsError):

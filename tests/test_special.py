@@ -6,6 +6,7 @@ import pytest
 
 from tailrisk.special import (
     gauss_cdf,
+    gauss_mills_ratio,
     gauss_pdf,
     gauss_quantile,
     inc_beta_mills,
@@ -61,6 +62,16 @@ class TestGaussQuantile:
             rhs = q0 * d1 ** 2
             if abs(rhs) > 0:
                 assert abs(d2 - rhs) <= 1e-4 * abs(rhs)
+
+
+class TestGaussMillsRatio:
+    def test_against_mpmath(self):
+        # a fixed number of fraction terms, sized for x = -9 (13 reach 2e-16
+        # there), holds everywhere below
+        for x in (-9.0, -9.26, -10.0, -12.5, -15.0, -20.0, -30.0, -37.0, -38.5):
+            with mp.workdps(50):
+                ref = mp.ncdf(x) / mp.npdf(x)
+            assert float(abs(gauss_mills_ratio(x) / ref - 1)) <= 3e-16
 
 
 class TestRegIncBeta:
